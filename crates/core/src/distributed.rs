@@ -76,9 +76,10 @@
 //! tree as the property-tested oracle (`tests/fabric_properties.rs` drives
 //! both over 32 seeds).  Remaining modelling simplifications, documented
 //! rather than hidden: the committed-channel registry is manager-level
-//! state (a site's lease sweep consults it to spare channels whose commit
-//! landed but whose lease-clear frame has not), and the destination-side
-//! relay state is written without a wire frame at commit time.
+//! state (a site's lease sweep consults its key index to spare channels
+//! whose commit landed but whose lease-clear frame has not), and the
+//! destination-side relay state is written without a wire frame at commit
+//! time.
 //!
 //! Fail-over is **driven by the switches adjacent to the cut**: they own
 //! the dead trunk's directed ports, so their ledgers name exactly the
@@ -116,8 +117,9 @@ struct Coordination {
     destination: NodeId,
     spec: RtChannelSpec,
     request_id: ConnectionRequestId,
-    /// The router's candidate routes, tried in order.
-    candidates: Vec<Route>,
+    /// The router's candidate routes, tried in order (shared with the
+    /// route memo).
+    candidates: Arc<[Route]>,
     /// Index of the candidate currently being probed / reserved.
     candidate: usize,
     /// Per-link deadline split, once the Reserve pass completed.
@@ -165,19 +167,22 @@ struct Site {
     /// terminates the flood and keeps late frames from resurrecting a
     /// stale view.
     ls_seen: BTreeMap<(u32, u32), u64>,
+    /// This switch's channel-id block, inclusive `(start, end)`.
+    id_block: (u16, u16),
     /// Next channel-id candidate inside this switch's id block.
     next_local_id: u16,
 }
 
 impl Site {
-    fn new(view: Topology, block_start: u16) -> Self {
+    fn new(view: Topology, id_block: (u16, u16)) -> Self {
         Site {
             ledger: SlackLedger::new(),
             coordinations: BTreeMap::new(),
             expecting: BTreeMap::new(),
             view,
             ls_seen: BTreeMap::new(),
-            next_local_id: block_start,
+            id_block,
+            next_local_id: id_block.0,
         }
     }
 }
@@ -227,9 +232,15 @@ pub struct DistributedChannelManager {
     /// this a k-shortest enumeration would rerun per control-frame hop.
     /// The fingerprint key makes entries self-invalidating across topology
     /// changes.
-    route_cache: BTreeMap<(u64, u32, u32), Vec<Route>>,
+    route_cache: BTreeMap<(u64, u32, u32), Arc<[Route]>>,
     /// Committed channels, by raw id.
     registry: BTreeMap<u16, DistChannel>,
+    /// Reverse index of `registry`: each committed channel's reservation
+    /// key to its raw id.  Written only by [`Self::register`] and
+    /// [`Self::unregister`], it turns the per-frame lease sweep, token
+    /// allocation and fail-over lookups into map probes instead of
+    /// registry scans.
+    committed: BTreeMap<ReservationKey, u16>,
     next_token: u16,
     switch_mac: MacAddr,
     /// How long an in-flight reservation (and a coordination, and a
@@ -278,8 +289,8 @@ impl DistributedChannelManager {
             .iter()
             .enumerate()
             .map(|(idx, &s)| {
-                let (start, _) = Self::id_block_of(switches.len(), idx);
-                (s, Site::new(topology.clone(), start))
+                let block = Self::id_block_of(switches.len(), idx);
+                (s, Site::new(topology.clone(), block))
             })
             .collect();
         DistributedChannelManager {
@@ -289,6 +300,7 @@ impl DistributedChannelManager {
             sites,
             route_cache: BTreeMap::new(),
             registry: BTreeMap::new(),
+            committed: BTreeMap::new(),
             next_token: 1,
             switch_mac: MacAddr::for_switch(),
             lease_duration: Duration::from_millis(50),
@@ -393,23 +405,18 @@ impl DistributedChannelManager {
         at: SwitchId,
         source: NodeId,
         destination: NodeId,
-    ) -> RtResult<Vec<Route>> {
+    ) -> RtResult<Arc<[Route]>> {
         let site = self
             .sites
             .get(&at)
             .ok_or_else(|| RtError::Config(format!("unknown switch {at}")))?;
-        let key = (site.view.fingerprint(), source.get(), destination.get());
-        if let Some(candidates) = self.route_cache.get(&key) {
-            return Ok(candidates.clone());
-        }
-        let candidates = self.router.routes(&site.view, source, destination)?;
-        // A runaway-workload backstop, not an LRU: stale fingerprints never
-        // match again, so dropping everything is always safe.
-        if self.route_cache.len() >= 4096 {
-            self.route_cache.clear();
-        }
-        self.route_cache.insert(key, candidates.clone());
-        Ok(candidates)
+        Self::memo_routes(
+            &mut self.route_cache,
+            &*self.router,
+            &site.view,
+            source,
+            destination,
+        )
     }
 
     /// The candidate list derived from the ground-truth topology — used
@@ -420,16 +427,36 @@ impl DistributedChannelManager {
         &mut self,
         source: NodeId,
         destination: NodeId,
-    ) -> RtResult<Vec<Route>> {
-        let key = (self.topology.fingerprint(), source.get(), destination.get());
-        if let Some(candidates) = self.route_cache.get(&key) {
-            return Ok(candidates.clone());
+    ) -> RtResult<Arc<[Route]>> {
+        Self::memo_routes(
+            &mut self.route_cache,
+            &*self.router,
+            &self.topology,
+            source,
+            destination,
+        )
+    }
+
+    /// The route memo behind both candidate lookups: a hit hands out the
+    /// shared list without copying a route.
+    fn memo_routes(
+        cache: &mut BTreeMap<(u64, u32, u32), Arc<[Route]>>,
+        router: &dyn Router,
+        view: &Topology,
+        source: NodeId,
+        destination: NodeId,
+    ) -> RtResult<Arc<[Route]>> {
+        let key = (view.fingerprint(), source.get(), destination.get());
+        if let Some(candidates) = cache.get(&key) {
+            return Ok(Arc::clone(candidates));
         }
-        let candidates = self.router.routes(&self.topology, source, destination)?;
-        if self.route_cache.len() >= 4096 {
-            self.route_cache.clear();
+        let candidates: Arc<[Route]> = router.routes(view, source, destination)?.into();
+        // A runaway-workload backstop, not an LRU: stale fingerprints never
+        // match again, so dropping everything is always safe.
+        if cache.len() >= 4096 {
+            cache.clear();
         }
-        self.route_cache.insert(key, candidates.clone());
+        cache.insert(key, Arc::clone(&candidates));
         Ok(candidates)
     }
 
@@ -437,12 +464,12 @@ impl DistributedChannelManager {
     /// the handling site's own view.  `None` when this view (or the frame)
     /// no longer knows such a candidate — the caller aborts the handshake
     /// gracefully instead of reserving on links the coordinator did not
-    /// mean.
+    /// mean.  Only the indexed route is cloned.
     fn candidate_route_at(&mut self, at: SwitchId, frame: &ReservationFrame) -> Option<Route> {
         let candidates = self
             .candidate_routes_at(at, frame.source, frame.destination)
             .ok()?;
-        candidates.into_iter().nth(frame.candidate as usize)
+        candidates.get(frame.candidate as usize).cloned()
     }
 
     fn site(&mut self, switch: SwitchId) -> RtResult<&mut Site> {
@@ -463,9 +490,8 @@ impl DistributedChannelManager {
                 .coordinations
                 .contains_key(&candidate)
                 || self
-                    .registry
-                    .values()
-                    .any(|c| c.coordinator == coordinator && c.token == candidate);
+                    .committed
+                    .contains_key(&ReservationKey::token(coordinator, candidate));
             if !in_use {
                 return candidate;
             }
@@ -496,18 +522,14 @@ impl DistributedChannelManager {
     /// to the same id — at the cost of ids that differ from the central
     /// oracle's (parity is checked under an admission-order id remapping).
     fn allocate_channel_id(&mut self, coordinator: SwitchId) -> RtResult<ChannelId> {
-        let idx = self
-            .sites
-            .keys()
-            .position(|&s| s == coordinator)
-            .ok_or_else(|| RtError::Config(format!("unknown switch {coordinator}")))?;
-        let (start, end) = Self::id_block_of(self.sites.len(), idx);
-        let in_flight: BTreeSet<u16> = self.sites[&coordinator]
+        let site = self.site(coordinator)?;
+        let (start, end) = site.id_block;
+        let in_flight: BTreeSet<u16> = site
             .coordinations
             .values()
             .filter_map(|c| c.channel.map(|id| id.get()))
             .collect();
-        let mut cursor = self.sites[&coordinator].next_local_id;
+        let mut cursor = site.next_local_id;
         if cursor < start || cursor > end {
             cursor = start;
         }
@@ -610,7 +632,7 @@ impl DistributedChannelManager {
         // a rejection, not a control-plane fault.
         let candidates = match self.candidate_routes_at(at, request.source, request.destination) {
             Ok(candidates) => candidates,
-            Err(RtError::Config(_)) => Vec::new(),
+            Err(RtError::Config(_)) => Arc::from([]),
             Err(e) => return Err(e),
         };
         let token = self.allocate_token(at);
@@ -1328,19 +1350,16 @@ impl DistributedChannelManager {
         let link_deadlines = coord.deadlines.clone().ok_or_else(|| {
             RtError::ProtocolViolation("Confirm for a reservation without deadlines".into())
         })?;
-        self.registry.insert(
-            id.get(),
-            DistChannel {
-                id,
-                source: coord.source,
-                destination: coord.destination,
-                spec: coord.spec,
-                path,
-                link_deadlines,
-                coordinator,
-                token,
-            },
-        );
+        self.register(DistChannel {
+            id,
+            source: coord.source,
+            destination: coord.destination,
+            spec: coord.spec,
+            path,
+            link_deadlines,
+            coordinator,
+            token,
+        });
         Ok(ControlOutcome::emissions_at(
             coordinator,
             vec![SwitchAction::SendResponse {
@@ -1470,8 +1489,7 @@ impl DistributedChannelManager {
     /// admitted route.
     fn on_teardown(&mut self, at: SwitchId, channel: ChannelId) -> RtResult<ControlOutcome> {
         let dist = self
-            .registry
-            .remove(&channel.get())
+            .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
         let key = dist.key();
         self.site(at)?.ledger.release_key(key);
@@ -1688,14 +1706,17 @@ impl DistributedChannelManager {
         // Committed channels hold their slack permanently: a lease whose
         // clear never reached this site is dropped without reclaiming
         // anything — one of the two documented places the manager-global
-        // registry is consulted.
-        let committed: Vec<ReservationKey> = self.registry.values().map(|c| c.key()).collect();
+        // registry (through its key index) is consulted.  Only the site's
+        // due leases are visited.
         {
             let site = self.sites.get_mut(&at).expect("checked above");
-            for key in committed {
-                if site.ledger.lease_of(key).is_some_and(|d| d <= now) {
-                    site.ledger.clear_lease(key);
-                }
+            let spared: Vec<ReservationKey> = site
+                .ledger
+                .expired_leases(now)
+                .filter(|key| self.committed.contains_key(key))
+                .collect();
+            for key in spared {
+                site.ledger.clear_lease(key);
             }
             let reclaimed = site.ledger.sweep_expired(now);
             self.lease_expired += reclaimed.len() as u64;
@@ -1792,22 +1813,14 @@ impl DistributedChannelManager {
         cut: &[(SwitchId, SwitchId)],
         link: (SwitchId, SwitchId),
     ) -> FailoverReport {
-        // Reverse map (coordinator, token) -> channel id.
-        let by_key: BTreeMap<(u32, u16), u16> = self
-            .registry
-            .values()
-            .map(|c| ((c.coordinator.get(), c.token), c.id.get()))
-            .collect();
         let mut affected: BTreeSet<u16> = BTreeSet::new();
         for &(a, b) in cut {
             for (from, to) in [(a, b), (b, a)] {
                 let trunk = HopLink::Trunk { from, to };
                 if let Some(site) = self.sites.get(&from) {
                     for key in site.ledger.keys_on(trunk) {
-                        if let ReservationKey::Token(coordinator, token) = key {
-                            if let Some(&id) = by_key.get(&(coordinator, token)) {
-                                affected.insert(id);
-                            }
+                        if let Some(&id) = self.committed.get(&key) {
+                            affected.insert(id);
                         }
                     }
                 }
@@ -1824,10 +1837,9 @@ impl DistributedChannelManager {
         // any (the same all-then-readmit rule as the central manager).
         let released: Vec<DistChannel> = affected
             .iter()
-            .map(|id| {
+            .map(|&id| {
                 let dist = self
-                    .registry
-                    .remove(id)
+                    .unregister(id)
                     .expect("affected ids come from the registry");
                 let key = dist.key();
                 for site in self.sites.values_mut() {
@@ -1842,15 +1854,15 @@ impl DistributedChannelManager {
                 .unwrap_or_default();
             let key = old.key();
             let mut readmitted = false;
-            for route in candidates {
-                if let Some(deadlines) = self.try_reserve_sync(key, &old.spec, &route) {
+            for route in candidates.iter() {
+                if let Some(deadlines) = self.try_reserve_sync(key, &old.spec, route) {
                     let renewed = DistChannel {
-                        path: route,
+                        path: route.clone(),
                         link_deadlines: deadlines,
                         ..old.clone()
                     };
                     report.rerouted.push(renewed.to_route());
-                    self.registry.insert(renewed.id.get(), renewed);
+                    self.register(renewed);
                     self.rerouted += 1;
                     readmitted = true;
                     break;
@@ -1885,7 +1897,7 @@ impl DistributedChannelManager {
                 (c.source, c.destination)
             };
             let primary = match self.candidate_routes_global(source, destination) {
-                Ok(candidates) => match candidates.into_iter().next() {
+                Ok(candidates) => match candidates.first().cloned() {
                     Some(route) => route,
                     None => {
                         report.unaffected += 1;
@@ -1902,8 +1914,7 @@ impl DistributedChannelManager {
                 continue;
             }
             let old = self
-                .registry
-                .remove(&id)
+                .unregister(id)
                 .expect("ids come from the live registry");
             let key = old.key();
             for site in self.sites.values_mut() {
@@ -1917,7 +1928,7 @@ impl DistributedChannelManager {
                         ..old
                     };
                     report.rerouted.push(renewed.to_route());
-                    self.registry.insert(renewed.id.get(), renewed);
+                    self.register(renewed);
                     self.rerouted += 1;
                 }
                 None => {
@@ -1936,7 +1947,7 @@ impl DistributedChannelManager {
                             .ledger
                             .reserve(*hop, key, task);
                     }
-                    self.registry.insert(old.id.get(), old);
+                    self.register(old);
                     report.unaffected += 1;
                 }
             }
@@ -1988,6 +1999,21 @@ impl DistributedChannelManager {
         Some(deadlines)
     }
 
+    /// Record a committed channel in the registry and its key index.  Every
+    /// registry insert goes through here.
+    fn register(&mut self, channel: DistChannel) {
+        self.committed.insert(channel.key(), channel.id.get());
+        self.registry.insert(channel.id.get(), channel);
+    }
+
+    /// Remove a committed channel from the registry and its key index.
+    /// Every registry removal goes through here.
+    fn unregister(&mut self, id: u16) -> Option<DistChannel> {
+        let channel = self.registry.remove(&id)?;
+        self.committed.remove(&channel.key());
+        Some(channel)
+    }
+
     /// The switch sequence of a route — module-level so both the
     /// construction and the per-hop handlers agree on geometry.
     fn route_switches(topology: &Topology, route: &Route) -> Vec<SwitchId> {
@@ -2027,8 +2053,7 @@ impl ChannelManager for DistributedChannelManager {
     fn handle_teardown(&mut self, channel: ChannelId) -> RtResult<ReleasedChannel> {
         // Direct (API-level) teardown: release fabric-wide synchronously.
         let dist = self
-            .registry
-            .remove(&channel.get())
+            .unregister(channel.get())
             .ok_or(RtError::UnknownChannel(channel))?;
         let key = dist.key();
         for site in self.sites.values_mut() {
@@ -2170,7 +2195,20 @@ impl ChannelManager for DistributedChannelManager {
     }
 
     fn audit_quiescent(&self) -> RtResult<()> {
-        let committed: BTreeSet<ReservationKey> = self.registry.values().map(|c| c.key()).collect();
+        // The key index must mirror the registry exactly: one key per
+        // channel, pointing back at that channel.
+        let indexed = self.committed.len() == self.registry.len()
+            && self
+                .registry
+                .values()
+                .all(|c| self.committed.get(&c.key()) == Some(&c.id.get()));
+        if !indexed {
+            return Err(RtError::ProtocolViolation(format!(
+                "committed-key index ({} keys) out of step with the registry ({} channels)",
+                self.committed.len(),
+                self.registry.len()
+            )));
+        }
         for (&s, site) in &self.sites {
             if let Some(token) = site.coordinations.keys().next() {
                 return Err(RtError::ProtocolViolation(format!(
@@ -2189,7 +2227,7 @@ impl ChannelManager for DistributedChannelManager {
             }
             for (link, _) in site.ledger.loaded_links() {
                 for key in site.ledger.keys_on(link) {
-                    if !committed.contains(&key) {
+                    if !self.committed.contains_key(&key) {
                         return Err(RtError::ProtocolViolation(format!(
                             "slack leak: site {s} holds {key:?} on {link:?} \
                              for no admitted channel"
@@ -2200,7 +2238,6 @@ impl ChannelManager for DistributedChannelManager {
         }
         // Every admitted channel holds exactly its route's reservations at
         // the owning sites, and its id sits inside its coordinator's block.
-        let switches: Vec<SwitchId> = self.sites.keys().copied().collect();
         for chan in self.registry.values() {
             let key = chan.key();
             for link in chan.path.iter() {
@@ -2221,16 +2258,16 @@ impl ChannelManager for DistributedChannelManager {
                     )));
                 }
             }
-            let idx = switches
-                .iter()
-                .position(|&s| s == chan.coordinator)
+            let (start, end) = self
+                .sites
+                .get(&chan.coordinator)
                 .ok_or_else(|| {
                     RtError::ProtocolViolation(format!(
                         "admitted channel {} has unknown coordinator {}",
                         chan.id, chan.coordinator
                     ))
-                })?;
-            let (start, end) = Self::id_block_of(switches.len(), idx);
+                })?
+                .id_block;
             if chan.id.get() < start || chan.id.get() > end {
                 return Err(RtError::ProtocolViolation(format!(
                     "channel id {} outside its coordinator's block {start}..={end}",

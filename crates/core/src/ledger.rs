@@ -15,7 +15,7 @@
 //! been assigned a channel id yet — so a rollback can release exactly what a
 //! reserve put in, whether or not the admission ever completed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rt_edf::{FeasibilityOutcome, FeasibilityTester, PeriodicTask, TaskSet};
 use rt_types::{ChannelId, HopLink, SimTime, SwitchId};
@@ -61,6 +61,10 @@ pub struct SlackLedger {
     /// a handshake stranded by a fault from leaking slack forever.
     /// Committed channels hold no lease.
     leases: BTreeMap<ReservationKey, SimTime>,
+    /// The same leases ordered by deadline, so a sweep and
+    /// [`SlackLedger::next_expiry`] touch only what is due instead of every
+    /// lease held.
+    by_deadline: BTreeSet<(SimTime, ReservationKey)>,
 }
 
 impl SlackLedger {
@@ -70,6 +74,7 @@ impl SlackLedger {
             tester: FeasibilityTester::new(),
             links: BTreeMap::new(),
             leases: BTreeMap::new(),
+            by_deadline: BTreeSet::new(),
         }
     }
 
@@ -122,7 +127,7 @@ impl SlackLedger {
     /// drop its lease if one exists.  Returns the number of link
     /// reservations freed.
     pub fn release_key(&mut self, key: ReservationKey) -> usize {
-        self.leases.remove(&key);
+        self.clear_lease(key);
         let mut freed = 0;
         self.links.retain(|_, entries| {
             if entries.remove(&key).is_some() {
@@ -139,14 +144,21 @@ impl SlackLedger {
     /// on this ledger expires — and is reclaimed by the next sweep — unless
     /// the lease is cleared (commit) or the key released (rollback) first.
     pub fn lease(&mut self, key: ReservationKey, expires: SimTime) {
-        self.leases.insert(key, expires);
+        if let Some(old) = self.leases.insert(key, expires) {
+            self.by_deadline.remove(&(old, key));
+        }
+        self.by_deadline.insert((expires, key));
     }
 
     /// Clear `key`'s lease, making its reservations permanent (the commit
     /// path).  Returns `false` if no lease was held — the caller must treat
     /// that as "the lease already expired", not resurrect the slack.
     pub fn clear_lease(&mut self, key: ReservationKey) -> bool {
-        self.leases.remove(&key).is_some()
+        let Some(deadline) = self.leases.remove(&key) else {
+            return false;
+        };
+        self.by_deadline.remove(&(deadline, key));
+        true
     }
 
     /// The expiry deadline `key`'s lease currently carries, if any.
@@ -157,19 +169,25 @@ impl SlackLedger {
     /// The earliest lease deadline held, if any — the next instant a sweep
     /// could reclaim something.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.leases.values().min().copied()
+        self.by_deadline.first().map(|&(deadline, _)| deadline)
+    }
+
+    /// The keys whose lease deadline is at or before `now`, earliest
+    /// deadline first — only the due leases are visited, however many are
+    /// held.
+    pub fn expired_leases(&self, now: SimTime) -> impl Iterator<Item = ReservationKey> + '_ {
+        self.by_deadline
+            .iter()
+            .take_while(move |&&(deadline, _)| deadline <= now)
+            .map(|&(_, key)| key)
     }
 
     /// Reclaim every key whose lease deadline is at or before `now`:
     /// release all its reservations and return the expired keys (ascending).
     /// A lease expiring *exactly* at the sweep tick is reclaimed.
     pub fn sweep_expired(&mut self, now: SimTime) -> Vec<ReservationKey> {
-        let expired: Vec<ReservationKey> = self
-            .leases
-            .iter()
-            .filter(|(_, &deadline)| deadline <= now)
-            .map(|(&key, _)| key)
-            .collect();
+        let mut expired: Vec<ReservationKey> = self.expired_leases(now).collect();
+        expired.sort_unstable();
         for &key in &expired {
             self.release_key(key);
         }
@@ -321,6 +339,38 @@ mod tests {
         assert_eq!(ledger.sweep_expired(SimTime::from_micros(30)), vec![early]);
         assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(90)));
         assert!(ledger.holds(link, late));
+    }
+
+    #[test]
+    fn expired_leases_visits_only_due_keys_in_deadline_order() {
+        let mut ledger = SlackLedger::new();
+        let link = HopLink::Uplink(NodeId::new(0));
+        let keys: Vec<ReservationKey> = (1..=4)
+            .map(|t| ReservationKey::token(SwitchId::new(0), t))
+            .collect();
+        for (&key, micros) in keys.iter().zip([40, 10, 30, 90]) {
+            ledger.reserve(link, key, task(100, 1, 50));
+            ledger.lease(key, SimTime::from_micros(micros));
+        }
+        let due = |l: &SlackLedger, micros| {
+            l.expired_leases(SimTime::from_micros(micros))
+                .collect::<Vec<_>>()
+        };
+        assert!(due(&ledger, 9).is_empty());
+        assert_eq!(due(&ledger, 30), vec![keys[1], keys[2]]);
+        // Moving a lease moves its place in the deadline order.
+        ledger.lease(keys[1], SimTime::from_micros(95));
+        assert_eq!(due(&ledger, 40), vec![keys[2], keys[0]]);
+        assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(30)));
+        // Clearing and releasing drop a key from the order too.
+        assert!(ledger.clear_lease(keys[2]));
+        ledger.release_key(keys[0]);
+        assert_eq!(due(&ledger, 90), vec![keys[3]]);
+        assert_eq!(ledger.next_expiry(), Some(SimTime::from_micros(90)));
+        // The sweep reclaims exactly the due keys, reported ascending.
+        assert_eq!(ledger.sweep_expired(SimTime::MAX), vec![keys[1], keys[3]]);
+        assert_eq!(ledger.next_expiry(), None);
+        assert!(ledger.holds(link, keys[2]), "a cleared lease is permanent");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::{RtError, RtResult};
 use crate::ids::NodeId;
@@ -159,6 +160,10 @@ pub struct Topology {
     /// any mutation the closed forms cannot describe; preserved across
     /// trunk failures and repairs.
     structure: Option<FabricStructure>,
+    /// Memo of [`Topology::fingerprint`], filled on first use.  Every
+    /// mutator that changes what the fingerprint hashes resets it, so the
+    /// memo is never stale; a clone inherits it, being the same graph.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Topology {
@@ -412,6 +417,7 @@ impl Topology {
     /// extra switch is outside what the structured builders describe.
     pub fn add_switch(&mut self, switch: SwitchId) {
         self.structure = None;
+        self.fingerprint.take();
         self.switches.insert(switch);
         self.adjacency.entry(switch).or_default();
     }
@@ -424,6 +430,7 @@ impl Topology {
         if self.attachments.contains_key(&node) {
             return Err(RtError::Config(format!("{node} is already attached")));
         }
+        self.fingerprint.take();
         self.attachments.insert(node, switch);
         Ok(())
     }
@@ -452,6 +459,7 @@ impl Topology {
             )));
         }
         self.structure = None;
+        self.fingerprint.take();
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
         Ok(())
@@ -469,6 +477,7 @@ impl Topology {
             )));
         }
         self.add_trunk(a, b)?;
+        // `add_trunk` has already reset the fingerprint memo.
         if cost != 1 {
             self.costs.insert((a.min(b), a.max(b)), cost);
         }
@@ -487,6 +496,7 @@ impl Topology {
         if !self.has_trunk(a, b) && !self.failed.contains(&key) {
             return Err(RtError::Config(format!("no trunk {a} <-> {b}")));
         }
+        self.fingerprint.take();
         if cost == 1 {
             self.costs.remove(&key);
         } else {
@@ -538,6 +548,7 @@ impl Topology {
         if !self.adjacency.get(&a).is_some_and(|nbrs| nbrs.contains(&b)) {
             return Err(RtError::Config(format!("no trunk {a} <-> {b} to fail")));
         }
+        self.fingerprint.take();
         self.adjacency
             .get_mut(&a)
             .expect("checked above")
@@ -560,6 +571,7 @@ impl Topology {
                 "trunk {a} <-> {b} is not failed, nothing to repair"
             )));
         }
+        self.fingerprint.take();
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
         Ok(())
@@ -626,7 +638,15 @@ impl Topology {
     /// trunks).  Routers key their cached forwarding tables on it, so equal
     /// fingerprints must mean equal graphs for routing purposes — which they
     /// do, because the maps iterate in a canonical (sorted) order.
+    ///
+    /// Memoised: the first call after a mutation hashes the whole graph,
+    /// every further call is a load.  Routers call this on every lookup.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    /// The uncached FNV-1a pass behind [`Topology::fingerprint`].
+    fn compute_fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -1322,5 +1342,81 @@ mod tests {
         assert!(!t.is_connected());
         assert!(t.route(NodeId::new(0), NodeId::new(1)).is_err());
         assert!(t.next_hop_table().is_empty());
+    }
+
+    /// The memoised fingerprint never goes stale: seeded random sequences
+    /// over every mutator — on the original and on mutated clones — keep
+    /// `fingerprint()` equal to a from-scratch recomputation after each
+    /// step.
+    #[test]
+    fn memoised_fingerprint_tracks_every_mutation() {
+        use crate::rng::Xoshiro256;
+        let mut applied = [0u32; 8];
+        for seed in 0..32u64 {
+            let mut rng = Xoshiro256::new(seed);
+            let mut fabrics = vec![Topology::ring(4, 1)];
+            for _ in 0..120 {
+                if fabrics.len() < 4 && rng.chance(0.05) {
+                    let fork = fabrics[rng.below(fabrics.len() as u64) as usize].clone();
+                    fabrics.push(fork);
+                }
+                let pick_fabric = rng.below(fabrics.len() as u64) as usize;
+                let t = &mut fabrics[pick_fabric];
+                // Prime the memo so a missed reset would surface below.
+                t.fingerprint();
+                let healthy: Vec<_> = t.trunks().collect();
+                let failed: Vec<_> = t.failed_trunks().collect();
+                let pick = |pool: &[(SwitchId, SwitchId)], rng: &mut Xoshiro256| {
+                    if pool.is_empty() || rng.chance(0.2) {
+                        let a = rng.below(7) as u32;
+                        (SwitchId::new(a), SwitchId::new(rng.below(7) as u32))
+                    } else {
+                        pool[rng.below(pool.len() as u64) as usize]
+                    }
+                };
+                let kind = rng.below(8) as usize;
+                let ok = match kind {
+                    0 => {
+                        t.add_switch(SwitchId::new(rng.below(7) as u32));
+                        true
+                    }
+                    1 => {
+                        let switch = SwitchId::new(rng.below(7) as u32);
+                        t.attach_node(NodeId::new(rng.below(32) as u32), switch)
+                            .is_ok()
+                    }
+                    2 => {
+                        let (a, b) = pick(&[], &mut rng);
+                        t.add_trunk(a, b).is_ok()
+                    }
+                    3 => {
+                        let (a, b) = pick(&[], &mut rng);
+                        t.add_trunk_weighted(a, b, rng.range_inclusive(1, 4))
+                            .is_ok()
+                    }
+                    4 => {
+                        let (a, b) = pick(&healthy, &mut rng);
+                        t.set_trunk_cost(a, b, rng.range_inclusive(1, 4)).is_ok()
+                    }
+                    5 => {
+                        let (a, b) = pick(&healthy, &mut rng);
+                        t.fail_trunk(a, b).is_ok()
+                    }
+                    6 => {
+                        let (a, b) = pick(&failed, &mut rng);
+                        t.repair_trunk(a, b).is_ok()
+                    }
+                    _ => t.fail_switch(SwitchId::new(rng.below(7) as u32)).is_ok(),
+                };
+                applied[kind] += u32::from(ok);
+                for t in &fabrics {
+                    assert_eq!(t.fingerprint(), t.compute_fingerprint(), "seed {seed}");
+                }
+            }
+        }
+        assert!(
+            applied.iter().all(|&n| n > 0),
+            "every mutator must succeed at least once: {applied:?}"
+        );
     }
 }

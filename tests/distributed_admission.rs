@@ -815,6 +815,110 @@ fn repair_racing_a_pending_rollback_leaks_nothing() {
     mgr.audit_quiescent().unwrap();
 }
 
+/// Commit the line(3,1) channel node 0 → node 2 at `now`: the Confirm walk
+/// renews the leases of the two non-coordinator sites on the way back, and
+/// only the coordinator's lease is cleared at commit.
+fn commit_line_channel(
+    mgr: &mut DistributedChannelManager,
+    h: &mut ControlHarness,
+    now: SimTime,
+) -> ChannelId {
+    h.submit(
+        NodeId::new(0),
+        NodeId::new(2),
+        spec(),
+        ConnectionRequestId::new(1),
+    );
+    while h.awaiting_answer() == 0 {
+        assert!(h.step(mgr, now).unwrap());
+    }
+    assert!(h.answer(true));
+    h.drain(mgr, now).unwrap();
+    assert_eq!(h.verdicts.len(), 1);
+    h.verdicts[0].expect("the channel must commit")
+}
+
+/// The lease sweep spares committed channels: a leftover lease at every
+/// site behind the coordinator expires after the commit, and the sweep
+/// drops just the lease — the slack stays held and nothing counts as
+/// reclaimed.
+#[test]
+fn committed_channel_leftover_leases_are_cleared_not_reclaimed() {
+    let topology = Topology::line(3, 1);
+    let mut mgr = direct(&topology);
+    let mut h = ControlHarness::new(&topology);
+    let now = SimTime::from_millis(1);
+    commit_line_channel(&mut mgr, &mut h, now);
+
+    let deadline = now.saturating_add(mgr.lease_duration());
+    assert_eq!(
+        mgr.next_timeout(),
+        Some(deadline),
+        "the transit sites must still hold their renewed leases"
+    );
+    assert!(
+        mgr.audit_quiescent().is_err(),
+        "leftover leases are not quiescent yet"
+    );
+    h.tick(&mut mgr, deadline).unwrap();
+
+    assert_eq!(mgr.next_timeout(), None, "every leftover lease is cleared");
+    for link in line_route_links() {
+        assert_eq!(mgr.link_load(link), 1, "committed slack lost on {link}");
+    }
+    assert_eq!(mgr.lease_expired_count(), 0, "a cleared lease is no expiry");
+    assert_eq!(mgr.channel_count(), 1);
+    mgr.audit_quiescent().unwrap();
+}
+
+/// In one and the same sweep, the leftover leases of a committed channel
+/// are cleared while a stranded uncommitted reservation on the same links
+/// is reclaimed at every site that held it.
+#[test]
+fn one_sweep_clears_committed_leases_and_reclaims_stranded_ones() {
+    let topology = Topology::line(3, 1);
+    let mut mgr = direct(&topology);
+    let mut h = ControlHarness::new(&topology);
+    let now = SimTime::from_millis(1);
+    let id = commit_line_channel(&mut mgr, &mut h, now);
+
+    // A second request over the same route stalls between its Reserve
+    // pass and the destination's answer, leased to the same deadline.
+    h.submit(
+        NodeId::new(0),
+        NodeId::new(2),
+        spec(),
+        ConnectionRequestId::new(2),
+    );
+    while h.awaiting_answer() == 0 {
+        assert!(h.step(&mut mgr, now).unwrap());
+    }
+    for link in line_route_links() {
+        assert_eq!(mgr.link_load(link), 2, "both reservations hold {link}");
+    }
+    let deadline = now.saturating_add(mgr.lease_duration());
+    assert_eq!(mgr.next_timeout(), Some(deadline));
+    h.tick(&mut mgr, deadline).unwrap();
+
+    assert_eq!(
+        h.verdicts,
+        vec![Some(id), None],
+        "the stranded one is rejected"
+    );
+    for link in line_route_links() {
+        assert_eq!(
+            mgr.link_load(link),
+            1,
+            "only the committed channel holds {link}"
+        );
+    }
+    // One expiry per site that held the stranded key: all three switches.
+    assert_eq!(mgr.lease_expired_count(), 3);
+    assert_eq!(mgr.next_timeout(), None);
+    assert_eq!(mgr.channel_ids(), vec![id]);
+    mgr.audit_quiescent().unwrap();
+}
+
 #[test]
 fn k_shortest_orders_candidates_by_cost() {
     // Square: sw0-sw1-sw2 (costs 1,1) vs sw0-sw3-sw2 (costs 5,5).
