@@ -1,22 +1,20 @@
-//! Micro-bench: fabric event throughput, heap vs. calendar scheduler,
-//! arena-pooled vs. owned frame store.
+//! Micro-bench: fabric event throughput, heap vs. calendar scheduler, and
+//! the sharded simulator's shard sweep.
 //!
 //! Four fabrics at two scales — the 16-node star / 4-switch tree / 4-switch
 //! ring baselines of the earlier PRs, plus the 64-switch / 1024-node torus
 //! (`FabricScenario::torus(8, 8, 8, 8)`) that is the point of the
-//! calendar-queue scheduler.  Every fabric is driven four times with the
-//! *identical* pre-generated workload: {heap, calendar} × {arena, owned}.
-//! The workload is injected up front (`inject_batch`), so the pending-event
-//! population is proportional to the frame count — exactly the regime where
-//! the heap's O(log n) cache-hostile operations dominate and the calendar
-//! queue's O(1) bucket operations pay off.  Delivered-frame counts are
-//! asserted equal between all four combinations, so the comparison can
-//! never drift semantically.
+//! calendar-queue scheduler.  Every fabric is driven on both schedulers
+//! with the *identical* pre-generated workload.  The workload is injected
+//! up front (`inject_batch`), so the pending-event population is
+//! proportional to the frame count — exactly the regime where the heap's
+//! O(log n) cache-hostile operations dominate and the calendar queue's O(1)
+//! bucket operations pay off.  Every run must deliver every frame, so the
+//! comparison can never drift semantically.
 //!
-//! Row keying: the arena store is the simulator default, so its rows keep
-//! the bare fabric names the trajectory has always used (`star/heap`, …) —
-//! `bench_diff` keeps comparing apples to apples across the store switch.
-//! The owned-store rows ride along under a `+owned` fabric suffix.
+//! Rows keep the bare fabric names the trajectory has always used
+//! (`star/heap`, …); the torus shard sweep rides along under `+shards{N}`
+//! fabric suffixes, each row carrying the conservative windows it ran.
 //!
 //! The run closes with the routing microbench: rebuild-after-cut latency
 //! and resident routing bytes on the 1280-switch `fat_tree(32)`, one row
@@ -31,7 +29,7 @@
 use std::time::Instant;
 
 use rt_bench::report::{json_object, write_artifact, ToJson};
-use rt_netsim::{FrameStoreKind, SchedulerKind, ShardedSimulator, SimConfig, Simulator};
+use rt_netsim::{SchedulerKind, ShardedSimulator, SimConfig, Simulator};
 use rt_traffic::{FabricScenario, ScenarioFrameSource};
 use rt_types::{Duration, NextHopCache, Topology};
 
@@ -112,19 +110,16 @@ struct DriveOutcome {
     events: u64,
     delivered: u64,
     elapsed_ns: u64,
+    /// Conservative windows executed (sharded runs only).
+    windows_executed: Option<u64>,
 }
 
-/// Run one workload on one scheduler and frame store: build the fabric,
-/// inject the whole pre-generated batch, drain.  Only the simulation (not
-/// the frame generation) is timed.
-fn drive(
-    workload: &Workload,
-    scheduler: SchedulerKind,
-    frame_store: FrameStoreKind,
-) -> DriveOutcome {
+/// Run one workload on one scheduler: build the fabric, inject the whole
+/// pre-generated batch, drain.  Only the simulation (not the frame
+/// generation) is timed.
+fn drive(workload: &Workload, scheduler: SchedulerKind) -> DriveOutcome {
     let config = SimConfig {
         scheduler,
-        frame_store,
         ..SimConfig::default()
     };
     let mut sim = Simulator::with_topology(config, workload.topology.clone())
@@ -138,16 +133,16 @@ fn drive(
         events: sim.events_processed(),
         delivered: sim.poll_deliveries().len() as u64,
         elapsed_ns: elapsed.as_nanos() as u64,
+        windows_executed: None,
     }
 }
 
 /// [`drive`] on the sharded simulator: same pre-generated batch, calendar
-/// scheduler, arena store, `shards` worker threads under the default
-/// (BFS-regions) partition.
+/// scheduler, `shards` worker threads under the default (BFS-regions)
+/// partition.
 fn drive_sharded(workload: &Workload, shards: usize) -> DriveOutcome {
     let config = SimConfig {
         scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
         ..SimConfig::default()
     };
     let mut sim = ShardedSimulator::new(config, workload.topology.clone(), shards)
@@ -161,16 +156,16 @@ fn drive_sharded(workload: &Workload, shards: usize) -> DriveOutcome {
         events: sim.events_processed(),
         delivered: sim.poll_deliveries().len() as u64,
         elapsed_ns: elapsed.as_nanos() as u64,
+        windows_executed: Some(sim.windows_executed()),
     }
 }
 
-/// One (fabric, scheduler, store) measurement, encoded with the in-repo
-/// encoder.  `fabric` carries the store suffix for non-default stores (see
-/// the module docs), `store` records it explicitly either way.
+/// One (fabric, scheduler) measurement, encoded with the in-repo encoder.
+/// `fabric` carries the `+shards{N}` suffix for the sharded rows (see the
+/// module docs), which also record their conservative windows.
 struct ThroughputRow {
     fabric: String,
     scheduler: &'static str,
-    store: &'static str,
     nodes: u32,
     frames: u64,
     spacing_ns: u64,
@@ -178,14 +173,36 @@ struct ThroughputRow {
     elapsed_ns: u64,
     events_per_second: f64,
     events_per_frame: f64,
+    windows_executed: Option<u64>,
+}
+
+impl ThroughputRow {
+    fn new(
+        fabric: String,
+        scheduler: &'static str,
+        workload: &Workload,
+        run: &DriveOutcome,
+    ) -> Self {
+        ThroughputRow {
+            fabric,
+            scheduler,
+            nodes: workload.nodes,
+            frames: workload.frames,
+            spacing_ns: workload.spacing.as_nanos(),
+            events: run.events,
+            elapsed_ns: run.elapsed_ns,
+            events_per_second: run.events as f64 / (run.elapsed_ns as f64 / 1e9),
+            events_per_frame: run.events as f64 / workload.frames as f64,
+            windows_executed: run.windows_executed,
+        }
+    }
 }
 
 impl ToJson for ThroughputRow {
     fn to_json(&self) -> String {
-        json_object(&[
+        let mut fields = vec![
             ("fabric", self.fabric.to_json()),
             ("scheduler", self.scheduler.to_json()),
-            ("store", self.store.to_json()),
             ("nodes", self.nodes.to_json()),
             ("frames", self.frames.to_json()),
             ("spacing_ns", self.spacing_ns.to_json()),
@@ -193,7 +210,11 @@ impl ToJson for ThroughputRow {
             ("elapsed_ns", self.elapsed_ns.to_json()),
             ("events_per_second", self.events_per_second.to_json()),
             ("events_per_frame", self.events_per_frame.to_json()),
-        ])
+        ];
+        if let Some(windows) = self.windows_executed {
+            fields.push(("windows_executed", windows.to_json()));
+        }
+        json_object(&fields)
     }
 }
 
@@ -377,12 +398,9 @@ fn routing_rows() -> Vec<Row> {
 
 fn main() {
     let mut rows: Vec<Row> = Vec::new();
-    println!("fabric event throughput: heap vs calendar scheduler, arena vs owned store");
+    println!("fabric event throughput: heap vs calendar scheduler, shard sweep");
     println!("(workloads injected up front; identical frame sequences per fabric)\n");
     for workload in workloads() {
-        // calendar-arena / heap-arena and calendar-arena / calendar-owned.
-        let mut arena_per_second = [0.0f64; 2];
-        let mut owned_calendar_per_second = 0.0f64;
         // Keep the fastest of several runs (the usual micro-bench "least
         // disturbed run" summary); correctness is checked on every run.
         // The millisecond-scale fabrics get extra samples because they are
@@ -390,115 +408,74 @@ fn main() {
         // multi-second torus is dominated by its own working set and stays
         // at two.
         let runs = if workload.frames > 100_000 { 2 } else { 5 };
-        for store in [FrameStoreKind::Arena, FrameStoreKind::Owned] {
-            // The default (arena) rows keep the bare fabric names so the
-            // bench_diff trajectory stays continuous across the store
-            // switch; the owned comparison rows get an explicit suffix.
-            let fabric = match store {
-                FrameStoreKind::Arena => workload.name.to_string(),
-                FrameStoreKind::Owned => format!("{}+owned", workload.name),
-            };
-            for (i, scheduler) in [SchedulerKind::Heap, SchedulerKind::Calendar]
-                .into_iter()
-                .enumerate()
-            {
-                let mut best: Option<DriveOutcome> = None;
-                for _ in 0..runs {
-                    let outcome = drive(&workload, scheduler, store);
-                    assert_eq!(
-                        outcome.delivered,
-                        workload.frames,
-                        "{fabric}/{}: every injected frame must be delivered",
-                        scheduler.name()
-                    );
-                    best = match best {
-                        Some(b) if b.elapsed_ns <= outcome.elapsed_ns => Some(b),
-                        _ => Some(outcome),
-                    };
-                }
-                let outcome = best.expect("at least one run happened");
-                let events_per_second = outcome.events as f64 / (outcome.elapsed_ns as f64 / 1e9);
-                match store {
-                    FrameStoreKind::Arena => arena_per_second[i] = events_per_second,
-                    FrameStoreKind::Owned if i == 1 => {
-                        owned_calendar_per_second = events_per_second
-                    }
-                    FrameStoreKind::Owned => {}
-                }
-                println!(
-                    "{:<22} {:<8} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:>5.1} events/frame",
-                    fabric,
-                    scheduler.name(),
-                    outcome.events,
-                    outcome.elapsed_ns as f64 / 1e6,
-                    events_per_second / 1e6,
-                    outcome.events as f64 / workload.frames as f64,
+        let best_of = |fabric: &str, drive: &dyn Fn() -> DriveOutcome| {
+            let mut best: Option<DriveOutcome> = None;
+            for _ in 0..runs {
+                let outcome = drive();
+                assert_eq!(
+                    outcome.delivered, workload.frames,
+                    "{fabric}: every injected frame must be delivered"
                 );
-                rows.push(Row::Throughput(ThroughputRow {
-                    fabric: fabric.clone(),
-                    scheduler: scheduler.name(),
-                    store: store.name(),
-                    nodes: workload.nodes,
-                    frames: workload.frames,
-                    spacing_ns: workload.spacing.as_nanos(),
-                    events: outcome.events,
-                    elapsed_ns: outcome.elapsed_ns,
-                    events_per_second,
-                    events_per_frame: outcome.events as f64 / workload.frames as f64,
-                }));
+                best = match best {
+                    Some(b) if b.elapsed_ns <= outcome.elapsed_ns => Some(b),
+                    _ => Some(outcome),
+                };
             }
+            best.expect("at least one run happened")
+        };
+        // heap, calendar.
+        let mut per_second = [0.0f64; 2];
+        for (i, scheduler) in [SchedulerKind::Heap, SchedulerKind::Calendar]
+            .into_iter()
+            .enumerate()
+        {
+            let outcome = best_of(workload.name, &|| drive(&workload, scheduler));
+            let row = ThroughputRow::new(
+                workload.name.to_string(),
+                scheduler.name(),
+                &workload,
+                &outcome,
+            );
+            per_second[i] = row.events_per_second;
+            println!(
+                "{:<22} {:<8} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:>5.1} events/frame",
+                workload.name,
+                scheduler.name(),
+                outcome.events,
+                outcome.elapsed_ns as f64 / 1e6,
+                row.events_per_second / 1e6,
+                row.events_per_frame,
+            );
+            rows.push(Row::Throughput(row));
         }
         println!(
-            "{:<22} calendar/heap speed-up: {:.2}x, arena/owned (calendar): {:.2}x\n",
+            "{:<22} calendar/heap speed-up: {:.2}x\n",
             workload.name,
-            arena_per_second[1] / arena_per_second[0],
-            arena_per_second[1] / owned_calendar_per_second,
+            per_second[1] / per_second[0],
         );
 
         // The shard sweep: the conservative-windowed parallel simulator on
         // the scaling fabric, one row per shard count under a
-        // `+shards{N}` fabric suffix (scheduler stays `calendar`, store
-        // stays `arena` — the sharded path supports nothing else).
-        // `bench_diff` gates the best sharded row, so a regression in the
-        // parallel path fails CI even when the single-thread rows hold.
+        // `+shards{N}` fabric suffix (scheduler stays `calendar` — the
+        // sharded path supports nothing else).  `bench_diff` gates the best
+        // sharded row, so a regression in the parallel path fails CI even
+        // when the single-thread rows hold.
         if workload.name == "torus_8x8_1024" {
             for shards in SHARD_SWEEP {
                 let fabric = format!("{}+shards{}", workload.name, shards);
-                let mut best: Option<DriveOutcome> = None;
-                for _ in 0..runs {
-                    let outcome = drive_sharded(&workload, shards);
-                    assert_eq!(
-                        outcome.delivered, workload.frames,
-                        "{fabric}: every injected frame must be delivered"
-                    );
-                    best = match best {
-                        Some(b) if b.elapsed_ns <= outcome.elapsed_ns => Some(b),
-                        _ => Some(outcome),
-                    };
-                }
-                let outcome = best.expect("at least one run happened");
-                let events_per_second = outcome.events as f64 / (outcome.elapsed_ns as f64 / 1e9);
+                let outcome = best_of(&fabric, &|| drive_sharded(&workload, shards));
+                let row = ThroughputRow::new(fabric, "calendar", &workload, &outcome);
                 println!(
-                    "{:<22} {:<8} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:.2}x vs calendar",
-                    fabric,
+                    "{:<22} {:<8} {:>8} events in {:>7.1} ms -> {:>6.2} M events/s, {:.2}x vs calendar, {} windows",
+                    row.fabric,
                     "calendar",
                     outcome.events,
                     outcome.elapsed_ns as f64 / 1e6,
-                    events_per_second / 1e6,
-                    events_per_second / arena_per_second[1],
+                    row.events_per_second / 1e6,
+                    row.events_per_second / per_second[1],
+                    outcome.windows_executed.unwrap_or(0),
                 );
-                rows.push(Row::Throughput(ThroughputRow {
-                    fabric,
-                    scheduler: "calendar",
-                    store: "arena",
-                    nodes: workload.nodes,
-                    frames: workload.frames,
-                    spacing_ns: workload.spacing.as_nanos(),
-                    events: outcome.events,
-                    elapsed_ns: outcome.elapsed_ns,
-                    events_per_second,
-                    events_per_frame: outcome.events as f64 / workload.frames as f64,
-                }));
+                rows.push(Row::Throughput(row));
             }
             println!();
         }

@@ -212,15 +212,6 @@ impl RtNetworkBuilder {
         self
     }
 
-    /// Shorthand: pick how the simulator stores in-flight frame payloads —
-    /// arena-pooled buffers by default,
-    /// [`rt_netsim::FrameStoreKind::Owned`] for the clone-per-delivery
-    /// reference.
-    pub fn frame_store(mut self, frame_store: rt_netsim::FrameStoreKind) -> Self {
-        self.sim.frame_store = frame_store;
-        self
-    }
-
     /// The path-selection policy.  Defaults to [`ShortestPathRouter`]
     /// (identical to the historical tree routing on trees and stars; picks
     /// shortest paths on meshes).  Use [`rt_types::TreeRouter`] to *enforce*

@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 
 use rt_types::{NodeId, SimTime, SwitchId};
 
-use crate::sim::FrameId;
+use crate::sim::{FrameId, LinkFault};
 
 /// Something that happens at a point in simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,30 +76,9 @@ pub enum Event {
         /// The frame.
         frame: FrameId,
     },
-    /// Fault injection: the trunk between `from` and `to` is cut at this
-    /// instant.  Both directed ports die, their queues are lost, and frames
-    /// mid-serialisation are lost with the cable.
-    FailTrunk {
-        /// One end of the trunk.
-        from: SwitchId,
-        /// The other end.
-        to: SwitchId,
-    },
-    /// Fault injection: a previously failed trunk comes back at this
-    /// instant; forwarding tables recover on the spot.
-    RepairTrunk {
-        /// One end of the trunk.
-        from: SwitchId,
-        /// The other end.
-        to: SwitchId,
-    },
-    /// Fault injection: every healthy trunk incident to `switch` is cut at
-    /// this instant, atomically (a whole switch dropping off the fabric).
-    /// Repairs splice the trunks back one at a time.
-    FailSwitch {
-        /// The switch losing all its trunks.
-        switch: SwitchId,
-    },
+    /// A scripted trunk cut, trunk repair or whole-switch failure fires at
+    /// this instant (see [`LinkFault`]).
+    Fault(LinkFault),
 }
 
 /// An event plus its scheduled time and a FIFO sequence number.

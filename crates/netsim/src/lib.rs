@@ -18,12 +18,18 @@
 //! * [`event`] — the simulation clock and the pluggable event scheduler
 //!   (binary-heap reference vs. calendar queue),
 //! * [`port`] — the dual-queue (RT + best effort) output port model,
-//! * [`sim`] — the simulator proper: nodes, switch, links, frame delivery,
+//! * `engine` (crate-private) — the per-event port engine both simulators
+//!   run,
+//! * [`sim`] — the single-thread simulator: topology wiring, injection,
+//!   faults, frame delivery,
+//! * [`shard`] — the sharded simulator: the same engine over conservative
+//!   time windows on worker threads,
 //! * [`stats`] — latency / deadline-miss / utilisation accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod engine;
 pub mod event;
 pub mod port;
 pub mod shard;
@@ -36,7 +42,6 @@ pub use event::{
 pub use port::{OutputPort, QueuedFrame, TrafficClass};
 pub use shard::ShardedSimulator;
 pub use sim::{
-    Delivery, FaultScript, FrameId, FrameInjection, FrameStoreKind, LinkFault, SimConfig,
-    Simulator, TrafficSource,
+    Delivery, FaultScript, FrameId, FrameInjection, LinkFault, SimConfig, Simulator, TrafficSource,
 };
 pub use stats::{ChannelStats, LinkStats, SimStats};

@@ -7,10 +7,10 @@
 //! [`rt_types::partition_switches`] partition) together with every output
 //! port that *originates* at them: the uplink/downlink pair of each attached
 //! node and the directed trunk ports leaving an owned switch.  Each shard
-//! runs its own calendar [`EventQueue`] over the same per-event handlers as
-//! the single-thread simulator, accumulating into its own [`SimStats`] and
-//! its own delivery list; the coordinator folds everything back together at
-//! the end of the run.
+//! runs its own port engine (`engine::PortEngine`) — the same per-event path as the
+//! single-thread simulator, on its own calendar [`crate::EventQueue`],
+//! accumulating into its own [`SimStats`] and its own delivery list; the
+//! coordinator folds everything back together at the end of the run.
 //!
 //! # Synchronisation
 //!
@@ -31,14 +31,20 @@
 //! counters, at every shard count.  Three mechanisms make the parallel run
 //! reproduce it exactly:
 //!
-//! 1. **Staged arrivals.**  *Every* switch arrival — local or cross-shard —
-//!    is staged and ingested at window starts in `(arrival_time, tx_start,
-//!    frame_id)` order, where `tx_start = arrival − L − tx_time` is the
-//!    instant the producing transmission began.  Because the minimum frame
-//!    transmission time exceeds `L` (checked at construction), producing
-//!    `TxComplete`s always execute in an earlier window than the arrival's
-//!    ingestion, so this order reproduces the oracle's FIFO sequence
-//!    numbers for same-instant arrivals.
+//! 1. **One arrival order.**  The engine orders the arrivals of an instant
+//!    by its arrival key (`engine::Arrival::key`) — `(arrival_time, sent, tx_start, frame_id)`,
+//!    where `sent` and `tx_start` are the instants the producing
+//!    transmission completed and began.  The key is a function of the
+//!    frame and its hop alone, so it does not depend on which shard emitted
+//!    an arrival, nor on the order in which same-instant transmissions were
+//!    started.  The single-thread simulator applies it at the end of every
+//!    instant.  Here every switch arrival — local or cross-shard — is staged
+//!    and ingested at window starts in the same order.  All switch arrivals
+//!    at time `T` are emitted at `T − L`, and because the minimum frame
+//!    transmission time covers `L` (checked at construction), every
+//!    transmission completing at `T` was scheduled before the window
+//!    holding `T` opened — it precedes the ingested arrivals here exactly
+//!    as it precedes them on the single-thread calendar.
 //! 2. **Ranked injections and faults.**  The preloaded event set (frame
 //!    injections, scripted faults) is drained in global `(time, seq)` order
 //!    and replayed with explicit ranks: workers interleave injections
@@ -46,9 +52,9 @@
 //!    numbers do, and a fault barrier executes injections ranked before the
 //!    fault, then the fault, then resumes windows.
 //! 3. **Canonical delivery merge.**  Per-shard delivery lists merge on the
-//!    key `(delivered_at, sched_at, tx_start, frame_id)` — the times the
-//!    oracle scheduled and executed the delivering events — which
-//!    reproduces the oracle's `poll_deliveries` order byte for byte.
+//!    arrival key of the arrival that delivered each frame, which is the
+//!    order the single-thread simulator handles those arrivals in — its
+//!    `poll_deliveries` order, byte for byte.
 //!
 //! Faults synchronise on a barrier: the coordinator applies the topology
 //! mutation and re-pulls the routing tables (exactly the single-thread
@@ -64,16 +70,15 @@ use std::sync::{mpsc, Arc};
 
 use rt_frames::{EthernetFrame, FrameArena, FrameRef};
 use rt_types::{
-    effective_shards, partition_switches, ChannelId, DenseNextHop, Duration, HopLink, IdIndex,
-    NodeId, Route, Router, RtError, RtResult, ShardStrategy, SimTime, SwitchId, Topology,
-    MIN_FRAME_WIRE_BYTES, NO_INDEX,
+    effective_shards, partition_switches, ChannelId, DenseNextHop, Duration, HopLink, NodeId,
+    Route, Router, RtError, RtResult, ShardStrategy, SimTime, SwitchId, Topology,
+    MIN_FRAME_WIRE_BYTES,
 };
 
-use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::port::{OutputPort, TrafficClass};
+use crate::engine::{Arrival, ArrivalKey, Driver, Fabric, PortEngine, Stop};
+use crate::event::{Event, SchedulerKind};
 use crate::sim::{
-    ChannelWireState, Delivery, FaultScript, FrameDest, FrameId, FrameInjection, FrameRecord,
-    LinkFault, SimConfig, Simulator, StoredFrame,
+    Delivery, FaultPorts, FaultScript, FrameId, FrameInjection, LinkFault, SimConfig, Simulator,
 };
 use crate::stats::SimStats;
 
@@ -86,18 +91,10 @@ const RING_CAPACITY: usize = 1024;
 // SPSC ring
 // ---------------------------------------------------------------------------
 
-/// One cross-shard arrival: a frame becomes eligible for forwarding at
-/// dense switch `switch` at `time_ns`.
-#[derive(Debug, Clone, Copy)]
-struct RingEntry {
-    time_ns: u64,
-    switch: u32,
-    frame: u64,
-}
-
-/// A bounded lock-free single-producer single-consumer ring carrying
-/// [`RingEntry`] triples as three parallel atomic lanes (the workspace
-/// forbids `unsafe`, so the slots are atomics rather than raw cells).
+/// A bounded lock-free single-producer single-consumer ring carrying switch
+/// [`Arrival`]s as three parallel atomic lanes — time, dense switch index,
+/// frame id (the workspace forbids `unsafe`, so the slots are atomics
+/// rather than raw cells).
 ///
 /// `head`/`tail` are monotonic counters; the producer publishes a slot with
 /// a `Release` store of `tail` and the consumer observes it with an
@@ -125,32 +122,32 @@ impl SpscRing {
     }
 
     /// Producer side: `false` when the ring is full (the caller spills the
-    /// entry through the coordinator instead).
-    fn push(&self, entry: RingEntry) -> bool {
+    /// arrival through the coordinator instead).
+    fn push(&self, time: SimTime, switch: u32, frame: FrameId) -> bool {
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
         if tail.wrapping_sub(head) == self.times.len() {
             return false;
         }
         let i = tail & self.mask;
-        self.times[i].store(entry.time_ns, Ordering::Relaxed);
-        self.switches[i].store(entry.switch as u64, Ordering::Relaxed);
-        self.frames[i].store(entry.frame, Ordering::Relaxed);
+        self.times[i].store(time.as_nanos(), Ordering::Relaxed);
+        self.switches[i].store(switch as u64, Ordering::Relaxed);
+        self.frames[i].store(frame.get(), Ordering::Relaxed);
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
         true
     }
 
-    /// Consumer side: append every published entry to `out`.
-    fn drain_into(&self, out: &mut Vec<RingEntry>) {
+    /// Consumer side: append every published arrival to `out`.
+    fn drain_into(&self, out: &mut Vec<Arrival>) {
         let head = self.head.load(Ordering::Relaxed);
         let tail = self.tail.load(Ordering::Acquire);
         let mut cursor = head;
         while cursor != tail {
             let i = cursor & self.mask;
-            out.push(RingEntry {
-                time_ns: self.times[i].load(Ordering::Relaxed),
-                switch: self.switches[i].load(Ordering::Relaxed) as u32,
-                frame: self.frames[i].load(Ordering::Relaxed),
+            out.push(Arrival {
+                time: SimTime::from_nanos(self.times[i].load(Ordering::Relaxed)),
+                frame: FrameId::new(self.frames[i].load(Ordering::Relaxed)),
+                stop: Stop::Switch(self.switches[i].load(Ordering::Relaxed) as u32),
             });
             cursor = cursor.wrapping_add(1);
         }
@@ -171,7 +168,7 @@ enum Command {
     Window {
         end_excl: SimTime,
         dense: Arc<DenseNextHop>,
-        spilled: Vec<RingEntry>,
+        spilled: Vec<Arrival>,
     },
     /// A scripted fault fires at `at` with global sequence rank `rank`:
     /// execute injections at `at` ranked before it, then kill / revive the
@@ -179,8 +176,7 @@ enum Command {
     Fault {
         at: SimTime,
         rank: u64,
-        kills: Arc<Vec<u32>>,
-        repairs: Arc<Vec<u32>>,
+        ports: Arc<FaultPorts>,
     },
     /// The run is over; send the final report and exit.
     Finish,
@@ -193,255 +189,125 @@ struct Report {
     /// its calendar, its staged arrivals, and everything it pushed onto
     /// outbound rings since the last report.  `u64::MAX` when idle.
     next_ns: u64,
-    /// Ring-overflow entries, routed to their destination shard via the
+    /// Ring-overflow arrivals, routed to their destination shard via the
     /// next `Window` command.
-    spill: Vec<(u32, RingEntry)>,
+    spill: Vec<(u32, Arrival)>,
 }
 
 /// End-of-run hand-back from one worker.
 struct WorkerFinal {
     stats: SimStats,
-    deliveries: Vec<(DeliveryKey, Delivery)>,
+    deliveries: Vec<(ArrivalKey, Delivery)>,
     freed: Vec<FrameRef>,
     processed: u64,
     last_ns: u64,
-}
-
-/// Canonical merge key: `(delivered_at, sched_at, tx_start, frame_id)` —
-/// see the module docs for why this reproduces the oracle's delivery order.
-type DeliveryKey = [u64; 4];
-
-/// A cross- or intra-shard switch arrival parked until its window opens.
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    time_ns: u64,
-    tx_start_ns: u64,
-    switch: u32,
-    frame: FrameId,
-}
-
-// ---------------------------------------------------------------------------
-// Shared read-only fabric context
-// ---------------------------------------------------------------------------
-
-/// The immutable-during-run parts of the fabric, shared by every worker.
-struct Fabric<'a> {
-    config: &'a SimConfig,
-    frames: &'a [FrameRecord],
-    arena: &'a FrameArena,
-    node_index: &'a IdIndex,
-    node_access: &'a [u32],
-    trunk_ports: &'a [u32],
-    switch_count: usize,
-    port_links: &'a [HopLink],
-    channel_wire: &'a [Option<ChannelWireState>],
-    released_channels: &'a [bool],
-    manager_index: u32,
-    distributed_control: bool,
-    assignment: &'a [u32],
-    lookahead: Duration,
-}
-
-impl<'a> Clone for Fabric<'a> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'a> Copy for Fabric<'a> {}
-
-impl<'a> Fabric<'a> {
-    #[inline]
-    fn node_idx(&self, node: NodeId) -> u32 {
-        self.node_index
-            .get(node.get())
-            .expect("events only reference attached nodes")
-    }
-
-    #[inline]
-    fn trunk_port(&self, from: u32, to: u32) -> Option<u32> {
-        match self.trunk_ports[from as usize * self.switch_count + to as usize] {
-            NO_INDEX => None,
-            port => Some(port),
-        }
-    }
-
-    #[inline]
-    fn channel_state(&self, channel: Option<ChannelId>) -> Option<&'a ChannelWireState> {
-        self.channel_wire.get(channel?.get() as usize)?.as_ref()
-    }
-
-    #[inline]
-    fn is_released(&self, channel: Option<ChannelId>) -> bool {
-        channel.is_some_and(|ch| {
-            self.released_channels
-                .get(ch.get() as usize)
-                .copied()
-                .unwrap_or(false)
-        })
-    }
-
-    #[inline]
-    fn record(&self, frame: FrameId) -> &'a FrameRecord {
-        &self.frames[frame.get() as usize]
-    }
-
-    #[inline]
-    fn tx_time(&self, wire_bytes: usize) -> Duration {
-        self.config.link_speed.transmission_time(wire_bytes)
-    }
-
-    /// Mirrors `Simulator::queue_deadline`.
-    #[inline]
-    fn queue_deadline(&self, record: &FrameRecord, port: u32) -> Option<SimTime> {
-        if let Some(offset) = self
-            .channel_state(record.channel)
-            .and_then(|state| state.offset_for(port))
-        {
-            return Some(record.injected_at + offset);
-        }
-        record.deadline
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
 
-/// One shard's execution state: the same handlers as [`Simulator::handle`],
-/// over the full dense port space (only owned ports are ever touched), with
-/// switch arrivals staged for deterministic ingestion and deliveries /
-/// frees / stats parked for the end-of-run merge.
-struct Worker<'a> {
-    fab: Fabric<'a>,
+/// The windowed driver's [`Driver`] hooks: switch arrivals are staged for
+/// this shard's next window or handed to the owning shard's ring,
+/// deliveries are keyed for the end-of-run merge, and buffers are parked
+/// for the coordinator to free (the arena is shared read-only during the
+/// run).
+struct ShardLink<'a> {
     shard: u32,
-    dense: Arc<DenseNextHop>,
-    queue: EventQueue,
-    batch: Vec<Event>,
-    ports: Vec<OutputPort>,
-    dead: Vec<bool>,
-    doomed: Vec<bool>,
-    stats: SimStats,
-    deliveries: Vec<(DeliveryKey, Delivery)>,
+    /// Dense switch index → owning shard.
+    assignment: &'a [u32],
+    arena: &'a FrameArena,
+    /// Switch arrivals for this shard, ingested at window starts.
+    staging: Vec<Arrival>,
+    /// `outbox[c]`: ring we produce for shard `c`.
+    outbox: Vec<Arc<SpscRing>>,
+    spill: Vec<(u32, Arrival)>,
+    outbound_min_ns: u64,
+    deliveries: Vec<(ArrivalKey, Delivery)>,
     freed: Vec<FrameRef>,
+}
+
+impl Driver for ShardLink<'_> {
+    fn switch_arrival(&mut self, arrival: Arrival) -> Option<Arrival> {
+        let Stop::Switch(switch) = arrival.stop else {
+            return Some(arrival);
+        };
+        let dest = self.assignment[switch as usize];
+        if dest == self.shard {
+            self.staging.push(arrival);
+        } else {
+            self.outbound_min_ns = self.outbound_min_ns.min(arrival.time.as_nanos());
+            if !self.outbox[dest as usize].push(arrival.time, switch, arrival.frame) {
+                self.spill.push((dest, arrival));
+            }
+        }
+        None
+    }
+
+    fn deliver(&mut self, fab: &Fabric, arrival: Arrival, delivery: Delivery) {
+        self.deliveries.push((arrival.key(fab), delivery));
+    }
+
+    fn bytes(&self, buffer: FrameRef) -> &[u8] {
+        self.arena.bytes(buffer)
+    }
+
+    fn free(&mut self, buffer: FrameRef) {
+        self.freed.push(buffer);
+    }
+}
+
+/// One shard's execution state: a [`PortEngine`] over the full dense port
+/// space (only owned ports are ever touched), its [`ShardLink`] hooks, and
+/// the preloaded injections it owns.
+struct Worker<'a> {
+    fab: &'a Fabric,
+    engine: PortEngine,
+    link: ShardLink<'a>,
     /// Preloaded frame injections owned by this shard, in global
     /// `(time, rank)` order.
     injections: VecDeque<(SimTime, u64, Event)>,
-    staging: Vec<Staged>,
     /// `inbox[p]`: ring produced by shard `p` for us.
     inbox: Vec<Arc<SpscRing>>,
-    /// `outbox[c]`: ring we produce for shard `c`.
-    outbox: Vec<Arc<SpscRing>>,
-    spill: Vec<(u32, RingEntry)>,
-    outbound_min_ns: u64,
-    ring_scratch: Vec<RingEntry>,
+    /// Reusable scratch for the arrivals due in the next window.
+    due: Vec<Arrival>,
     last_ns: u64,
 }
 
-impl<'a> Worker<'a> {
-    #[inline]
-    fn schedule_event(&mut self, at: SimTime, event: Event) {
-        if self.queue.schedule(at, event) {
-            self.stats.record_clamped();
-        }
-    }
-
-    /// The staging record of an arrival: `tx_start` recovers the instant
-    /// the producing transmission began, the tie-break the deterministic
-    /// ingestion order sorts on.
-    fn staged(&self, time: SimTime, switch: u32, frame: FrameId) -> Staged {
-        let time_ns = time.as_nanos();
-        let tx = self
-            .fab
-            .tx_time(self.fab.record(frame).wire_bytes)
-            .as_nanos();
-        let lookahead = self.fab.lookahead.as_nanos();
-        Staged {
-            time_ns,
-            tx_start_ns: time_ns.saturating_sub(lookahead + tx),
-            switch,
-            frame,
-        }
-    }
-
-    /// Route a switch arrival: stage it locally, or hand it to the owning
-    /// shard's ring (spilling through the coordinator when full).
-    fn emit_arrival(&mut self, at: SimTime, switch: u32, frame: FrameId) {
-        let dest = self.fab.assignment[switch as usize];
-        if dest == self.shard {
-            let staged = self.staged(at, switch, frame);
-            self.staging.push(staged);
-        } else {
-            let entry = RingEntry {
-                time_ns: at.as_nanos(),
-                switch,
-                frame: frame.get(),
-            };
-            self.outbound_min_ns = self.outbound_min_ns.min(entry.time_ns);
-            if !self.outbox[dest as usize].push(entry) {
-                self.spill.push((dest, entry));
-            }
-        }
-    }
-
-    /// Pull every published inbound ring entry into the staging area.
+impl Worker<'_> {
+    /// Pull every published inbound ring arrival into the staging area.
     fn drain_rings(&mut self) {
-        let mut scratch = std::mem::take(&mut self.ring_scratch);
         for (producer, ring) in self.inbox.iter().enumerate() {
-            if producer as u32 != self.shard {
-                ring.drain_into(&mut scratch);
+            if producer as u32 != self.link.shard {
+                ring.drain_into(&mut self.link.staging);
             }
         }
-        for entry in scratch.drain(..) {
-            let staged = self.staged(
-                SimTime::from_nanos(entry.time_ns),
-                entry.switch,
-                FrameId::new(entry.frame),
-            );
-            self.staging.push(staged);
-        }
-        self.ring_scratch = scratch;
     }
 
-    /// Move every staged arrival due before `end_excl` into the calendar,
-    /// in the canonical `(time, tx_start, frame)` order that reproduces the
-    /// oracle's same-instant FIFO sequence.
+    /// Move every staged arrival due before `end_excl` onto the calendar,
+    /// in the engine's arrival order.
     fn ingest_staged(&mut self, end_excl: SimTime) {
-        let end_ns = end_excl.as_nanos();
-        let mut due = Vec::new();
-        self.staging.retain(|s| {
-            if s.time_ns < end_ns {
-                due.push(*s);
+        let due = &mut self.due;
+        self.link.staging.retain(|a| {
+            if a.time < end_excl {
+                due.push(*a);
                 false
             } else {
                 true
             }
         });
-        due.sort_unstable_by_key(|s| (s.time_ns, s.tx_start_ns, s.frame.get()));
-        for s in due {
-            let switch = self.dense.switch_at(s.switch);
-            self.schedule_event(
-                SimTime::from_nanos(s.time_ns),
-                Event::ArriveAtSwitch {
-                    switch,
-                    frame: s.frame,
-                },
-            );
+        due.sort_unstable_by_key(|a| a.key(self.fab));
+        for arrival in due.drain(..) {
+            self.engine.schedule_arrival(arrival);
         }
     }
 
     /// Execute every owned event strictly before `end_excl`, interleaving
     /// preloaded injections before same-time derived events (they carry
     /// lower oracle sequence numbers).
-    fn run_window(&mut self, end_excl: SimTime, dense: Arc<DenseNextHop>, spilled: Vec<RingEntry>) {
-        self.dense = dense;
-        for entry in spilled {
-            let staged = self.staged(
-                SimTime::from_nanos(entry.time_ns),
-                entry.switch,
-                FrameId::new(entry.frame),
-            );
-            self.staging.push(staged);
-        }
+    fn run_window(&mut self, end_excl: SimTime, dense: Arc<DenseNextHop>, spilled: Vec<Arrival>) {
+        self.engine.dense = dense;
+        self.link.staging.extend(spilled);
         self.drain_rings();
         self.ingest_staged(end_excl);
         let end_incl = SimTime::from_nanos(end_excl.as_nanos().saturating_sub(1));
@@ -450,67 +316,53 @@ impl<'a> Worker<'a> {
                 Some(&(t, _, _)) if t < end_excl => Some(t),
                 _ => None,
             };
-            let next_calendar = self.queue.peek_time().filter(|&t| t < end_excl);
+            let next_calendar = self.engine.queue.peek_time().filter(|&t| t < end_excl);
             match (next_injection, next_calendar) {
                 (None, None) => break,
-                (Some(t), None) => self.handle_injections_at(t),
-                (Some(t), Some(c)) if t <= c => self.handle_injections_at(t),
+                (Some(t), None) => self.run_injections(t, u64::MAX),
+                (Some(t), Some(c)) if t <= c => self.run_injections(t, u64::MAX),
                 _ => {
-                    let mut batch = std::mem::take(&mut self.batch);
-                    if let Some(time) = self.queue.pop_run_until(end_incl, &mut batch) {
+                    let mut batch = std::mem::take(&mut self.engine.batch);
+                    if let Some(time) = self.engine.queue.pop_run_until(end_incl, &mut batch) {
                         self.last_ns = self.last_ns.max(time.as_nanos());
                         for event in batch.drain(..) {
-                            self.handle(time, event);
+                            self.engine.handle(self.fab, &mut self.link, time, event);
                         }
                     }
-                    self.batch = batch;
+                    self.engine.batch = batch;
+                    self.engine.end_instant(self.fab, &mut self.link);
                 }
             }
         }
     }
 
-    /// Execute every consecutive preloaded injection at exactly time `t`.
-    fn handle_injections_at(&mut self, t: SimTime) {
-        self.last_ns = self.last_ns.max(t.as_nanos());
-        while let Some(&(it, _, _)) = self.injections.front() {
-            if it != t {
+    /// Execute every consecutive preloaded injection at exactly time `at`
+    /// ranked at most `max_rank`.  Injections only start transmissions, so
+    /// they emit no arrival and need no end of instant.
+    fn run_injections(&mut self, at: SimTime, max_rank: u64) {
+        self.last_ns = self.last_ns.max(at.as_nanos());
+        while let Some(&(t, rank, _)) = self.injections.front() {
+            if t != at || rank > max_rank {
                 break;
             }
             let (_, _, event) = self.injections.pop_front().expect("front checked");
-            self.handle(t, event);
+            self.engine.handle(self.fab, &mut self.link, at, event);
         }
     }
 
     /// Fault barrier: injections at `at` ranked before the fault fire
     /// first (the oracle pops them first), then this shard's owned ports
-    /// die or revive, with dead queues drained into `failed_link_dropped`
-    /// and busy ports doomed — exactly `Simulator::kill_trunk_ports`.
-    fn fault_step(&mut self, at: SimTime, rank: u64, kills: &[u32], repairs: &[u32]) {
-        self.last_ns = self.last_ns.max(at.as_nanos());
-        while let Some(&(t, r, _)) = self.injections.front() {
-            if t != at || r > rank {
-                break;
-            }
-            let (_, _, event) = self.injections.pop_front().expect("front checked");
-            self.handle(at, event);
-        }
-        for &port in kills {
-            if self.port_owner(port) != self.shard {
-                continue;
-            }
-            let p = port as usize;
-            self.dead[p] = true;
-            if self.ports[p].is_busy(at) {
-                self.doomed[p] = true;
-            }
-            for lost in self.ports[p].drain() {
-                self.stats.record_failed_link_drop();
-                self.discard_frame(lost.frame);
+    /// die or revive through the engine, as in the single-thread run.
+    fn fault_step(&mut self, at: SimTime, rank: u64, ports: &FaultPorts) {
+        self.run_injections(at, rank);
+        for &port in &ports.killed {
+            if self.port_owner(port) == self.link.shard {
+                self.engine.kill_port(self.fab, &mut self.link, port, at);
             }
         }
-        for &port in repairs {
-            if self.port_owner(port) == self.shard {
-                self.dead[port as usize] = false;
+        for &port in &ports.revived {
+            if self.port_owner(port) == self.link.shard {
+                self.engine.revive_port(port);
             }
         }
         self.drain_rings();
@@ -518,19 +370,17 @@ impl<'a> Worker<'a> {
 
     /// Which shard owns (i.e. transmits on) dense port `port`.
     fn port_owner(&self, port: u32) -> u32 {
-        match self.fab.port_links[port as usize] {
+        let switch = match self.fab.port_links[port as usize] {
             HopLink::Uplink(node) | HopLink::Downlink(node) => {
-                let idx = self.fab.node_idx(node);
-                self.fab.assignment[self.fab.node_access[idx as usize] as usize]
+                self.fab.node_access[self.fab.node_idx(node) as usize]
             }
-            HopLink::Trunk { from, .. } => {
-                let f = self
-                    .dense
-                    .index_of(from)
-                    .expect("trunk ports reference topology switches");
-                self.fab.assignment[f as usize]
-            }
-        }
+            HopLink::Trunk { from, .. } => self
+                .engine
+                .dense
+                .index_of(from)
+                .expect("trunk ports reference topology switches"),
+        };
+        self.link.assignment[switch as usize]
     }
 
     /// Earliest pending work this shard knows about.
@@ -539,302 +389,22 @@ impl<'a> Worker<'a> {
         if let Some(&(t, _, _)) = self.injections.front() {
             next = next.min(t.as_nanos());
         }
-        if let Some(t) = self.queue.peek_time() {
+        if let Some(t) = self.engine.queue.peek_time() {
             next = next.min(t.as_nanos());
         }
-        for s in &self.staging {
-            next = next.min(s.time_ns);
+        for a in &self.link.staging {
+            next = next.min(a.time.as_nanos());
         }
         next
     }
 
     fn make_report(&mut self) -> Report {
-        let next_ns = self.next_pending_ns().min(self.outbound_min_ns);
-        self.outbound_min_ns = u64::MAX;
+        let next_ns = self.next_pending_ns().min(self.link.outbound_min_ns);
+        self.link.outbound_min_ns = u64::MAX;
         Report {
-            shard: self.shard,
+            shard: self.link.shard,
             next_ns,
-            spill: std::mem::take(&mut self.spill),
-        }
-    }
-
-    // --- event handlers, mirroring `Simulator::handle` -------------------
-
-    fn handle(&mut self, now: SimTime, event: Event) {
-        match event {
-            Event::EnqueueAtNode { node, frame } => {
-                let port = 2 * self.fab.node_idx(node);
-                self.enqueue_at_port(frame, port);
-                self.try_start_tx(now, port);
-            }
-            Event::NodeTxComplete { node, frame } => {
-                let node_idx = self.fab.node_idx(node);
-                let port = 2 * node_idx;
-                self.ports[port as usize].clear_busy();
-                let arrive =
-                    now + self.fab.config.propagation_delay + self.fab.config.switch_latency;
-                self.emit_arrival(arrive, self.fab.node_access[node_idx as usize], frame);
-                self.try_start_tx(now, port);
-            }
-            Event::ArriveAtSwitch { switch, frame } => {
-                let at = self
-                    .dense
-                    .index_of(switch)
-                    .expect("events only reference topology switches");
-                let record = self.fab.record(frame);
-                let channel = record.channel;
-                match record.dest {
-                    FrameDest::ControlPlane => {
-                        if self.fab.distributed_control || at == self.fab.manager_index {
-                            let switch = self.dense.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense
-                            .next_hop_index(at, self.fab.manager_index)
-                            .and_then(|next| self.fab.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Switch { switch: target } => {
-                        if at == target {
-                            let switch = self.dense.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense
-                            .next_hop_index(at, target)
-                            .and_then(|next| self.fab.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Node {
-                        node: dest_node,
-                        switch: dest_switch,
-                    } => {
-                        if self.fab.is_released(channel) {
-                            self.stats.record_released_channel_drop();
-                            self.discard_frame(frame);
-                            return;
-                        }
-                        match self.egress_port(at, dest_node, dest_switch, channel) {
-                            Some(port) if self.dead[port as usize] => {
-                                self.stats.record_failed_link_drop();
-                                self.discard_frame(frame);
-                            }
-                            Some(port) => {
-                                self.enqueue_at_port(frame, port);
-                                self.try_start_tx(now, port);
-                            }
-                            None => {
-                                self.stats.record_unroutable();
-                                self.discard_frame(frame);
-                            }
-                        }
-                    }
-                    FrameDest::Unknown => {
-                        self.stats.record_unroutable();
-                        self.discard_frame(frame);
-                    }
-                }
-            }
-            Event::SwitchTxComplete { to, frame } => {
-                let port = 2 * self.fab.node_idx(to) + 1;
-                self.ports[port as usize].clear_busy();
-                let arrive = now + self.fab.config.propagation_delay;
-                self.schedule_event(arrive, Event::ArriveAtNode { node: to, frame });
-                self.try_start_tx(now, port);
-            }
-            Event::TrunkTxComplete { from, to, frame } => {
-                let from_idx = self
-                    .dense
-                    .index_of(from)
-                    .expect("events only reference topology switches");
-                let to_idx = self
-                    .dense
-                    .index_of(to)
-                    .expect("events only reference topology switches");
-                if let Some(port) = self.fab.trunk_port(from_idx, to_idx) {
-                    let p = port as usize;
-                    self.ports[p].clear_busy();
-                    if self.doomed[p] || self.dead[p] {
-                        self.doomed[p] = false;
-                        self.stats.record_failed_link_drop();
-                        self.discard_frame(frame);
-                        self.try_start_tx(now, port);
-                        return;
-                    }
-                    let arrive =
-                        now + self.fab.config.propagation_delay + self.fab.config.switch_latency;
-                    self.emit_arrival(arrive, to_idx, frame);
-                    self.try_start_tx(now, port);
-                }
-            }
-            Event::ArriveAtNode { node, frame } => {
-                let sched_ns = now
-                    .as_nanos()
-                    .saturating_sub(self.fab.config.propagation_delay.as_nanos());
-                self.deliver_inner(frame, node, None, now, sched_ns);
-            }
-            Event::EnqueueAtSwitch { .. }
-            | Event::FailTrunk { .. }
-            | Event::RepairTrunk { .. }
-            | Event::FailSwitch { .. } => {
-                unreachable!("fault and switch-origination events never enter a shard calendar")
-            }
-        }
-    }
-
-    #[inline]
-    fn egress_port(
-        &self,
-        at: u32,
-        dest_node: u32,
-        dest_switch: u32,
-        channel: Option<ChannelId>,
-    ) -> Option<u32> {
-        if let Some(port) = self
-            .fab
-            .channel_state(channel)
-            .and_then(|state| state.forwarding_port(at))
-        {
-            return Some(port);
-        }
-        if dest_switch == at {
-            return Some(2 * dest_node + 1);
-        }
-        let next = self.dense.next_hop_index(at, dest_switch)?;
-        self.fab.trunk_port(at, next)
-    }
-
-    fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
-        let record = self.fab.record(frame);
-        let class = record.class;
-        let deadline = self.fab.queue_deadline(record, port);
-        let out = &mut self.ports[port as usize];
-        match class {
-            TrafficClass::RealTime => {
-                out.enqueue_rt(frame, deadline.unwrap_or(SimTime::ZERO));
-            }
-            TrafficClass::BestEffort => {
-                if !out.enqueue_be(frame) {
-                    self.stats.record_be_drop();
-                    self.discard_frame(frame);
-                }
-            }
-        }
-    }
-
-    fn try_start_tx(&mut self, now: SimTime, port: u32) {
-        let out = &mut self.ports[port as usize];
-        if out.is_busy(now) || out.is_empty() {
-            return;
-        }
-        let Some(queued) = out.dequeue_next() else {
-            return;
-        };
-        let record = self.fab.record(queued.frame);
-        let wire_bytes = record.wire_bytes;
-        if record.link_state {
-            self.stats.record_link_state_hop();
-        } else if Simulator::is_control_record(record.class, record.channel) {
-            self.stats.record_control_hop();
-        }
-        let tx = self.fab.tx_time(wire_bytes);
-        let done = now + tx;
-        self.ports[port as usize].set_busy_until(done);
-        self.stats
-            .record_transmission(port as usize, wire_bytes, tx);
-        let event = match self.fab.port_links[port as usize] {
-            HopLink::Uplink(node) => Event::NodeTxComplete {
-                node,
-                frame: queued.frame,
-            },
-            HopLink::Downlink(node) => Event::SwitchTxComplete {
-                to: node,
-                frame: queued.frame,
-            },
-            HopLink::Trunk { from, to } => Event::TrunkTxComplete {
-                from,
-                to,
-                frame: queued.frame,
-            },
-        };
-        self.schedule_event(done, event);
-    }
-
-    fn deliver_to_switch(&mut self, frame: FrameId, switch: SwitchId, now: SimTime) {
-        let sched_ns = now.as_nanos().saturating_sub(self.fab.lookahead.as_nanos());
-        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now, sched_ns);
-    }
-
-    fn deliver_inner(
-        &mut self,
-        frame: FrameId,
-        receiver: NodeId,
-        switch: Option<SwitchId>,
-        now: SimTime,
-        sched_ns: u64,
-    ) {
-        let record = self.fab.record(frame);
-        match record.class {
-            TrafficClass::RealTime => {
-                self.stats.record_rt_delivery(
-                    record.channel,
-                    record.injected_at,
-                    now,
-                    record.deadline,
-                );
-            }
-            TrafficClass::BestEffort => self.stats.record_be_delivery(),
-        }
-        let eth = match &record.stored {
-            StoredFrame::Owned(eth) => eth.clone(),
-            StoredFrame::Pooled(r) => {
-                let r = *r;
-                let eth = EthernetFrame::decode_unpadded(self.fab.arena.bytes(r))
-                    .expect("pooled frames hold a valid unpadded wire image");
-                // Frees are deferred to the coordinator: the arena is shared
-                // read-only during the run.
-                self.freed.push(r);
-                eth
-            }
-        };
-        let tx_ns = self.fab.tx_time(record.wire_bytes).as_nanos();
-        let key = [
-            now.as_nanos(),
-            sched_ns,
-            sched_ns.saturating_sub(tx_ns),
-            frame.get(),
-        ];
-        self.deliveries.push((
-            key,
-            Delivery {
-                frame,
-                receiver,
-                switch,
-                source: record.source,
-                eth,
-                injected_at: record.injected_at,
-                delivered_at: now,
-                channel: record.channel,
-                deadline: record.deadline,
-                class: record.class,
-            },
-        ));
-    }
-
-    fn discard_frame(&mut self, frame: FrameId) {
-        if let StoredFrame::Pooled(r) = self.fab.record(frame).stored {
-            self.freed.push(r);
+            spill: std::mem::take(&mut self.link.spill),
         }
     }
 }
@@ -854,48 +424,19 @@ fn worker_main(
                 end_excl,
                 dense,
                 spilled,
-            } => {
-                worker.run_window(end_excl, dense, spilled);
-                let _ = reports.send(worker.make_report());
-            }
-            Command::Fault {
-                at,
-                rank,
-                kills,
-                repairs,
-            } => {
-                worker.fault_step(at, rank, &kills, &repairs);
-                let _ = reports.send(worker.make_report());
-            }
+            } => worker.run_window(end_excl, dense, spilled),
+            Command::Fault { at, rank, ports } => worker.fault_step(at, rank, &ports),
             Command::Finish => break,
         }
+        let _ = reports.send(worker.make_report());
     }
     let _ = finals.send(WorkerFinal {
-        stats: worker.stats,
-        deliveries: worker.deliveries,
-        freed: worker.freed,
-        processed: worker.queue.processed(),
+        stats: worker.engine.stats,
+        deliveries: worker.link.deliveries,
+        freed: worker.link.freed,
+        processed: worker.engine.queue.processed(),
         last_ns: worker.last_ns,
     });
-}
-
-/// Both directed dense port ids of the trunk `a — b`, appended to `out`.
-fn trunk_ports_of(
-    dense: &DenseNextHop,
-    trunk_ports: &[u32],
-    a: SwitchId,
-    b: SwitchId,
-    out: &mut Vec<u32>,
-) {
-    if let (Some(f), Some(t)) = (dense.index_of(a), dense.index_of(b)) {
-        let s = dense.switch_count();
-        for (x, y) in [(f, t), (t, f)] {
-            match trunk_ports[x as usize * s + y as usize] {
-                NO_INDEX => {}
-                port => out.push(port),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -959,9 +500,8 @@ impl ShardedSimulator {
     }
 
     fn from_inner(inner: Simulator, shards: usize, strategy: ShardStrategy) -> RtResult<Self> {
-        let config = inner.config();
-        let lookahead = config.propagation_delay + config.switch_latency;
-        let min_tx = config.link_speed.transmission_time(MIN_FRAME_WIRE_BYTES);
+        let lookahead = inner.fabric.lookahead();
+        let min_tx = inner.transmission_time(MIN_FRAME_WIRE_BYTES);
         if min_tx < lookahead {
             return Err(RtError::Config(format!(
                 "sharded simulation needs the minimum frame transmission time ({} ns) \
@@ -974,7 +514,7 @@ impl ShardedSimulator {
         }
         let partition = partition_switches(inner.topology(), shards, strategy);
         let shards = effective_shards(inner.topology().switch_count(), shards);
-        let dense = Arc::clone(&inner.dense_next_hop);
+        let dense = &inner.engine.dense;
         let mut assignment = vec![0u32; dense.switch_count()];
         for (pos, switch) in inner.topology().switches().enumerate() {
             let idx = dense
@@ -1052,7 +592,7 @@ impl ShardedSimulator {
 
     /// The shard owning `switch`, if it is part of the topology.
     pub fn shard_of(&self, switch: SwitchId) -> Option<u32> {
-        let idx = self.inner.dense_next_hop.index_of(switch)?;
+        let idx = self.inner.engine.dense.index_of(switch)?;
         Some(self.assignment[idx as usize])
     }
 
@@ -1133,22 +673,17 @@ impl ShardedSimulator {
         // numbers across the split.
         let mut per_shard: Vec<VecDeque<(SimTime, u64, Event)>> =
             (0..shards).map(|_| VecDeque::new()).collect();
-        let mut faults: VecDeque<(SimTime, u64, Event)> = VecDeque::new();
+        let mut faults: VecDeque<(SimTime, u64, LinkFault)> = VecDeque::new();
         let mut rank = 0u64;
-        while let Some((t, event)) = self.inner.events.pop() {
+        while let Some((t, event)) = self.inner.engine.queue.pop() {
             match event {
                 Event::EnqueueAtNode { node, .. } => {
-                    let idx = self
-                        .inner
-                        .node_index
-                        .get(node.get())
-                        .expect("injections reference attached nodes");
-                    let shard = self.assignment[self.inner.node_access[idx as usize] as usize];
+                    let fab = &self.inner.fabric;
+                    let access = fab.node_access[fab.node_idx(node) as usize];
+                    let shard = self.assignment[access as usize];
                     per_shard[shard as usize].push_back((t, rank, event));
                 }
-                Event::FailTrunk { .. } | Event::RepairTrunk { .. } | Event::FailSwitch { .. } => {
-                    faults.push_back((t, rank, event));
-                }
+                Event::Fault(fault) => faults.push_back((t, rank, fault)),
                 other => panic!(
                     "sharded runs drive node-injected workloads and scripted faults only; \
                      found {other:?} in the pending event set"
@@ -1157,52 +692,29 @@ impl ShardedSimulator {
             rank += 1;
         }
 
-        let lookahead = self.inner.config.propagation_delay + self.inner.config.switch_latency;
-        let lookahead_ns = lookahead.as_nanos();
-        let assignment = self.assignment.clone();
-
+        let lookahead_ns = self.inner.fabric.lookahead().as_nanos();
         let mut windows = 0u64;
         let mut extra_processed = 0u64;
         let mut last_ns = self.inner.now().as_nanos();
-        let mut merged_deliveries: Vec<(DeliveryKey, Delivery)> = Vec::new();
+        let mut merged_deliveries: Vec<(ArrivalKey, Delivery)> = Vec::new();
         let mut merged_freed: Vec<FrameRef> = Vec::new();
 
         {
-            // Split the inner simulator into the shared read-only fabric
-            // context and the coordinator-mutable routing/stat state.
+            // Split the inner simulator into the fabric and arena every
+            // worker reads, and the routing and statistics state only the
+            // coordinator touches.
             let Simulator {
-                config,
+                fabric,
+                engine,
+                arena,
                 topology,
                 router,
-                dense_next_hop,
-                node_index,
-                node_access,
-                trunk_ports,
-                port_links,
-                channel_wire,
-                released_channels,
-                frames,
-                arena,
-                stats,
                 pending_deliveries,
-                manager_index,
-                distributed_control,
                 ..
             } = &mut self.inner;
-            let config: &SimConfig = config;
-            let router: &Arc<dyn Router> = router;
-            let node_index: &IdIndex = node_index;
-            let node_access: &[u32] = node_access;
-            let trunk_ports: &[u32] = trunk_ports;
-            let port_links: &[HopLink] = port_links;
-            let channel_wire: &[Option<ChannelWireState>] = channel_wire;
-            let released_channels: &[bool] = released_channels;
-            let frames: &[FrameRecord] = frames;
+            let fabric: &Fabric = fabric;
             let arena: &FrameArena = arena;
-            let manager_index = *manager_index;
-            let distributed_control = *distributed_control;
-            let switch_count = dense_next_hop.switch_count();
-            let assignment: &[u32] = &assignment;
+            let assignment: &[u32] = &self.assignment;
 
             // rings[p][c]: produced by shard p, consumed by shard c.
             let rings: Vec<Vec<Arc<SpscRing>>> = (0..shards)
@@ -1221,58 +733,32 @@ impl ShardedSimulator {
                 for shard in 0..shards {
                     let (command_tx, command_rx) = mpsc::channel::<Command>();
                     command_txs.push(command_tx);
-                    let fab = Fabric {
-                        config,
-                        frames,
-                        arena,
-                        node_index,
-                        node_access,
-                        trunk_ports,
-                        switch_count,
-                        port_links,
-                        channel_wire,
-                        released_channels,
-                        manager_index,
-                        distributed_control,
-                        assignment,
-                        lookahead,
-                    };
                     let injections = std::mem::take(&mut per_shard[shard]);
                     let inbox: Vec<Arc<SpscRing>> =
                         (0..shards).map(|p| Arc::clone(&rings[p][shard])).collect();
                     let outbox: Vec<Arc<SpscRing>> =
                         (0..shards).map(|c| Arc::clone(&rings[shard][c])).collect();
-                    let dense = Arc::clone(dense_next_hop);
+                    let dense = Arc::clone(&engine.dense);
                     let reports = report_tx.clone();
                     let finals = final_tx.clone();
-                    let port_count = port_links.len();
-                    let be_capacity = config.be_queue_capacity;
                     scope.spawn(move || {
-                        let ports = (0..port_count)
-                            .map(|_| match be_capacity {
-                                Some(cap) => OutputPort::with_be_capacity(cap),
-                                None => OutputPort::new(),
-                            })
-                            .collect();
                         let worker = Worker {
-                            fab,
-                            shard: shard as u32,
-                            dense,
-                            queue: EventQueue::with_scheduler(SchedulerKind::Calendar),
-                            batch: Vec::new(),
-                            ports,
-                            dead: vec![false; port_count],
-                            doomed: vec![false; port_count],
-                            stats: SimStats::for_ports(fab.port_links.to_vec()),
-                            deliveries: Vec::new(),
-                            freed: Vec::new(),
+                            fab: fabric,
+                            engine: PortEngine::new(fabric, dense, SchedulerKind::Calendar),
+                            link: ShardLink {
+                                shard: shard as u32,
+                                assignment,
+                                arena,
+                                staging: Vec::new(),
+                                outbox,
+                                spill: Vec::new(),
+                                outbound_min_ns: u64::MAX,
+                                deliveries: Vec::new(),
+                                freed: Vec::new(),
+                            },
                             injections,
-                            staging: Vec::new(),
                             inbox,
-                            outbox,
-                            spill: Vec::new(),
-                            outbound_min_ns: u64::MAX,
-                            ring_scratch: Vec::new(),
+                            due: Vec::new(),
                             last_ns: 0,
                         };
                         worker_main(worker, command_rx, reports, finals);
@@ -1282,13 +768,13 @@ impl ShardedSimulator {
                 drop(final_tx);
 
                 let mut next_ns = vec![u64::MAX; shards];
-                let mut held: Vec<Vec<RingEntry>> = vec![Vec::new(); shards];
-                let gather = |next_ns: &mut [u64], held: &mut [Vec<RingEntry>]| {
+                let mut held: Vec<Vec<Arrival>> = vec![Vec::new(); shards];
+                let gather = |next_ns: &mut [u64], held: &mut [Vec<Arrival>]| {
                     for _ in 0..shards {
                         let report = report_rx.recv().expect("worker thread alive");
                         next_ns[report.shard as usize] = report.next_ns;
-                        for (dest, entry) in report.spill {
-                            held[dest as usize].push(entry);
+                        for (dest, arrival) in report.spill {
+                            held[dest as usize].push(arrival);
                         }
                     }
                 };
@@ -1297,8 +783,8 @@ impl ShardedSimulator {
                 loop {
                     let mut t_work = next_ns.iter().copied().min().unwrap_or(u64::MAX);
                     for h in &held {
-                        for entry in h {
-                            t_work = t_work.min(entry.time_ns);
+                        for arrival in h {
+                            t_work = t_work.min(arrival.time.as_nanos());
                         }
                     }
                     let t_fault = faults
@@ -1313,80 +799,21 @@ impl ShardedSimulator {
                         // topology and re-pulls routing (the single-thread
                         // semantics of fail_link / repair_link /
                         // fail_switch); the workers kill / revive the ports
-                        // they own.
+                        // they own.  A scripted fault that does not apply
+                        // is a script bug in debug builds and a no-op in
+                        // release builds, as in the single-thread run.
                         let (at, fault_rank, fault) =
                             faults.pop_front().expect("fault time was finite");
                         last_ns = last_ns.max(at.as_nanos());
-                        let mut kills = Vec::new();
-                        let mut repairs = Vec::new();
-                        let mut changed = false;
-                        match fault {
-                            Event::FailTrunk { from, to } => {
-                                let result = topology.fail_trunk(from, to);
-                                debug_assert!(
-                                    result.is_ok(),
-                                    "scripted FailTrunk failed: {result:?}"
-                                );
-                                if result.is_ok() {
-                                    trunk_ports_of(
-                                        dense_next_hop,
-                                        trunk_ports,
-                                        from,
-                                        to,
-                                        &mut kills,
-                                    );
-                                    changed = true;
-                                }
-                            }
-                            Event::RepairTrunk { from, to } => {
-                                let result = topology.repair_trunk(from, to);
-                                debug_assert!(
-                                    result.is_ok(),
-                                    "scripted RepairTrunk failed: {result:?}"
-                                );
-                                if result.is_ok() {
-                                    trunk_ports_of(
-                                        dense_next_hop,
-                                        trunk_ports,
-                                        from,
-                                        to,
-                                        &mut repairs,
-                                    );
-                                    changed = true;
-                                }
-                            }
-                            Event::FailSwitch { switch } => {
-                                let result = topology.fail_switch(switch);
-                                debug_assert!(
-                                    result.is_ok(),
-                                    "scripted FailSwitch failed: {result:?}"
-                                );
-                                if let Ok(cut) = result {
-                                    for (a, b) in cut {
-                                        trunk_ports_of(
-                                            dense_next_hop,
-                                            trunk_ports,
-                                            a,
-                                            b,
-                                            &mut kills,
-                                        );
-                                    }
-                                    changed = true;
-                                }
-                            }
-                            _ => unreachable!("only fault events enter the fault script"),
-                        }
-                        if changed {
-                            *dense_next_hop = router.dense_next_hop(topology);
-                        }
-                        let kills = Arc::new(kills);
-                        let repairs = Arc::new(repairs);
+                        let result = fault.apply(topology, fabric, &engine.dense);
+                        debug_assert!(result.is_ok(), "scripted {fault:?} failed: {result:?}");
+                        let ports = Arc::new(result.unwrap_or_default());
+                        engine.dense = router.dense_next_hop(topology);
                         for tx in &command_txs {
                             tx.send(Command::Fault {
                                 at,
                                 rank: fault_rank,
-                                kills: Arc::clone(&kills),
-                                repairs: Arc::clone(&repairs),
+                                ports: Arc::clone(&ports),
                             })
                             .expect("worker thread alive");
                         }
@@ -1401,7 +828,7 @@ impl ShardedSimulator {
                         for (shard, tx) in command_txs.iter().enumerate() {
                             tx.send(Command::Window {
                                 end_excl: SimTime::from_nanos(end_excl),
-                                dense: Arc::clone(dense_next_hop),
+                                dense: Arc::clone(&engine.dense),
                                 spilled: std::mem::take(&mut held[shard]),
                             })
                             .expect("worker thread alive");
@@ -1417,7 +844,7 @@ impl ShardedSimulator {
 
             for _ in 0..shards {
                 let done = final_rx.recv().expect("every worker sends a final report");
-                stats.merge_from(&done.stats);
+                engine.stats.merge_from(&done.stats);
                 merged_deliveries.extend(done.deliveries);
                 merged_freed.extend(done.freed);
                 extra_processed += done.processed;

@@ -43,34 +43,41 @@
 //!
 //! ## Hot path
 //!
-//! The per-event path is allocation- and hash-free: at construction every
-//! entity gets a contiguous index — nodes, switches (via the router's
-//! [`DenseNextHop`]) and output ports (uplink `2i`, downlink `2i + 1`,
-//! trunks after all access ports) — and every per-event decision is a few
-//! bounds-checked array reads.  A frame's destination MAC is resolved
-//! *once*, at injection time, into its dense node and access-switch
-//! indices.  The pending-event set lives behind the
-//! [`crate::event::EventScheduler`] chosen in [`SimConfig::scheduler`]: the
-//! calendar queue by default, the binary heap as the reference.
+//! The per-event path is the crate's port engine (`engine::PortEngine`), shared with the
+//! sharded simulator; this type is its one-shard driver.  The path is
+//! allocation- and hash-free: at construction every entity gets a
+//! contiguous index — nodes, switches (via the router's [`DenseNextHop`])
+//! and output ports (uplink `2i`, downlink `2i + 1`, trunks after all
+//! access ports) — and every per-event decision is a few bounds-checked
+//! array reads.  A frame's destination MAC is resolved *once*, at injection
+//! time, into its dense node and access-switch indices.  The pending-event
+//! set lives behind the [`crate::event::EventScheduler`] chosen in
+//! [`SimConfig::scheduler`]: the calendar queue by default, the binary heap
+//! as the reference.
 //!
 //! The single-switch star of the paper's §18.1 is the degenerate one-switch
 //! case ([`Simulator::new`]) and behaves exactly as it always has.
 //!
 //! The simulator is single-threaded and deterministic: identical inputs
 //! produce identical event sequences, deliveries and statistics — on either
-//! scheduler.
+//! scheduler.  Arrivals that fall on the same instant are ordered by the
+//! engine's arrival key (`engine::Arrival::key`), not by the order the
+//! transmissions producing them happened to start in.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use rt_frames::{EthernetFrame, Frame, FrameArena, FramePeek, FrameRef};
 use rt_types::{
-    ChannelId, DenseNextHop, Duration, HopLink, IdIndex, LinkId, MacAddr, NextHopTable, NodeId,
-    Route, Router, RtError, RtResult, ShortestPathRouter, SimTime, SwitchId, Topology, NO_INDEX,
+    ChannelId, DenseNextHop, Duration, HopLink, LinkId, MacAddr, NextHopTable, NodeId, Route,
+    Router, RtError, RtResult, ShortestPathRouter, SimTime, SwitchId, Topology,
 };
 
-use crate::event::{Event, EventQueue, SchedulerKind};
-use crate::port::{OutputPort, TrafficClass};
+use crate::engine::{
+    Arrival, ChannelWireState, Driver, Fabric, FrameDest, FrameRecord, PortEngine,
+};
+use crate::event::{Event, SchedulerKind};
+use crate::port::TrafficClass;
 use crate::stats::SimStats;
 
 /// Identifier of a frame inside one simulation run.
@@ -89,30 +96,6 @@ impl FrameId {
     }
 }
 
-/// How the simulator stores frame payloads between injection and delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameStoreKind {
-    /// Every frame record owns its decoded [`EthernetFrame`]; delivery
-    /// clones it.  The bit-exact reference path.
-    Owned,
-    /// Frame bytes live in a pooled [`FrameArena`]: injection serialises the
-    /// frame once into a recycled buffer, every hop hands the index along,
-    /// and the buffer returns to the pool at delivery or drop.  Steady-state
-    /// allocation-free; byte-for-byte identical deliveries.  The default.
-    #[default]
-    Arena,
-}
-
-impl FrameStoreKind {
-    /// A short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrameStoreKind::Owned => "owned",
-            FrameStoreKind::Arena => "arena",
-        }
-    }
-}
-
 /// Static configuration of the simulated network.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
@@ -127,9 +110,6 @@ pub struct SimConfig {
     /// Which event scheduler drives the simulation (calendar queue by
     /// default; the binary heap is the bit-exact reference).
     pub scheduler: SchedulerKind,
-    /// How frame payloads are stored in flight (arena-pooled buffers by
-    /// default; `Owned` is the clone-per-delivery reference).
-    pub frame_store: FrameStoreKind,
 }
 
 impl Default for SimConfig {
@@ -142,7 +122,6 @@ impl Default for SimConfig {
             switch_latency: Duration::from_micros(5),
             be_queue_capacity: Some(1024),
             scheduler: SchedulerKind::default(),
-            frame_store: FrameStoreKind::default(),
         }
     }
 }
@@ -169,66 +148,6 @@ impl SimConfig {
     pub fn t_latency(&self) -> Duration {
         self.t_latency_for_hops(2)
     }
-}
-
-/// Where a frame is headed, resolved once at injection time so the per-hop
-/// forwarding decision never touches the MAC table again.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FrameDest {
-    /// An attached end node: its dense node index and the dense index of
-    /// its access switch.
-    Node {
-        /// Dense node index (downlink port is `2·node + 1`).
-        node: u32,
-        /// Dense index of the node's access switch.
-        switch: u32,
-    },
-    /// The generic switch MAC: deliver to the managing switch's control
-    /// plane (central placement) or to the first switch that receives the
-    /// frame (distributed placement).
-    ControlPlane,
-    /// The per-switch control-plane MAC of one specific switch (dense
-    /// index): forwarded over trunks and delivered to that switch's control
-    /// plane — the transport of the distributed reservation protocol.
-    Switch {
-        /// Dense index of the addressed switch.
-        switch: u32,
-    },
-    /// No attached node owns the MAC; dropped as unroutable at the first
-    /// switch (exactly as the per-hop lookup used to).
-    Unknown,
-}
-
-/// Where one frame's bytes live while it crosses the fabric.
-#[derive(Debug, Clone)]
-pub(crate) enum StoredFrame {
-    /// The decoded frame, owned by the record ([`FrameStoreKind::Owned`]).
-    Owned(EthernetFrame),
-    /// An index into the simulator's [`FrameArena`]
-    /// ([`FrameStoreKind::Arena`]): the buffer holds the unpadded wire
-    /// image and is freed back to the pool at delivery or drop.
-    Pooled(FrameRef),
-}
-
-/// Everything the simulator remembers about one injected frame.
-#[derive(Debug, Clone)]
-pub(crate) struct FrameRecord {
-    pub(crate) stored: StoredFrame,
-    pub(crate) class: TrafficClass,
-    /// Absolute end-to-end deadline (simulated time) for RT frames.
-    pub(crate) deadline: Option<SimTime>,
-    /// RT channel for RT data frames.
-    pub(crate) channel: Option<ChannelId>,
-    /// `true` for link-state flood frames — control-class on the wire, but
-    /// accounted as convergence overhead instead of reservation traffic.
-    pub(crate) link_state: bool,
-    /// The resolved destination (dense indices).
-    pub(crate) dest: FrameDest,
-    /// Where the frame entered the network (`NodeId::SWITCH` for frames
-    /// originated by the switch control plane).
-    pub(crate) source: NodeId,
-    pub(crate) injected_at: SimTime,
-    pub(crate) wire_bytes: usize,
 }
 
 /// A frame delivered to its final receiver (an end node, or the switch
@@ -308,6 +227,43 @@ pub enum LinkFault {
     },
 }
 
+/// The directed trunk ports one [`LinkFault`] kills and revives.
+#[derive(Debug, Default)]
+pub(crate) struct FaultPorts {
+    pub(crate) killed: Vec<u32>,
+    pub(crate) revived: Vec<u32>,
+}
+
+impl LinkFault {
+    /// Apply the fault to `topology` (so routers see the changed
+    /// fingerprint) and return the directed trunk ports it kills or
+    /// revives, in the order they are to be applied.
+    pub(crate) fn apply(
+        self,
+        topology: &mut Topology,
+        fab: &Fabric,
+        dense: &DenseNextHop,
+    ) -> RtResult<FaultPorts> {
+        let mut ports = FaultPorts::default();
+        match self {
+            LinkFault::Fail { from, to } => {
+                topology.fail_trunk(from, to)?;
+                fab.trunk_ports_of(dense, from, to, &mut ports.killed);
+            }
+            LinkFault::Repair { from, to } => {
+                topology.repair_trunk(from, to)?;
+                fab.trunk_ports_of(dense, from, to, &mut ports.revived);
+            }
+            LinkFault::FailSwitch { switch } => {
+                for (a, b) in topology.fail_switch(switch)? {
+                    fab.trunk_ports_of(dense, a, b, &mut ports.killed);
+                }
+            }
+        }
+        Ok(ports)
+    }
+}
+
 /// A scripted sequence of link failures and repairs, injected up front like
 /// a traffic workload ([`Simulator::schedule_faults`]): each fault becomes a
 /// first-class simulator event, totally ordered with the frames around it,
@@ -372,81 +328,56 @@ pub trait TrafficSource {
     fn is_exhausted(&self) -> bool;
 }
 
-/// Per-channel wire state installed at admission time: the EDF deadline
-/// budget of every link of the route, plus the per-switch forwarding
-/// entries that pin the channel's frames to the admitted route (which on a
-/// mesh need not be the next-hop table's shortest path).  Both tables are
-/// tiny sorted vectors keyed by dense indices — a route has a handful of
-/// hops, so lookups are a short binary search over one cache line.
-#[derive(Debug, Default)]
-pub(crate) struct ChannelWireState {
-    /// `(port, budget)`: per-link EDF deadline budget (offset from
-    /// injection time), sorted by dense port id.
-    offsets: Vec<(u32, Duration)>,
-    /// `(switch, port)`: at each switch of the route, the egress the
-    /// channel's frames take, sorted by dense switch index.
-    forwarding: Vec<(u32, u32)>,
+/// The one-shard driver's [`Driver`] hooks: switch arrivals go straight
+/// onto the engine's calendar, deliveries straight onto the poll list and
+/// buffers straight back to the arena.
+struct Direct<'a> {
+    arena: &'a mut FrameArena,
+    deliveries: &'a mut Vec<Delivery>,
 }
 
-impl ChannelWireState {
-    fn set_offset(&mut self, port: u32, budget: Duration) {
-        match self.offsets.binary_search_by_key(&port, |e| e.0) {
-            Ok(i) => self.offsets[i].1 = budget,
-            Err(i) => self.offsets.insert(i, (port, budget)),
-        }
-    }
-
-    fn set_forwarding(&mut self, switch: u32, port: u32) {
-        match self.forwarding.binary_search_by_key(&switch, |e| e.0) {
-            Ok(i) => self.forwarding[i].1 = port,
-            Err(i) => self.forwarding.insert(i, (switch, port)),
-        }
+impl Driver for Direct<'_> {
+    #[inline]
+    fn switch_arrival(&mut self, arrival: Arrival) -> Option<Arrival> {
+        Some(arrival)
     }
 
     #[inline]
-    pub(crate) fn offset_for(&self, port: u32) -> Option<Duration> {
-        self.offsets
-            .binary_search_by_key(&port, |e| e.0)
-            .ok()
-            .map(|i| self.offsets[i].1)
+    fn deliver(&mut self, _: &Fabric, _: Arrival, delivery: Delivery) {
+        self.deliveries.push(delivery);
     }
 
     #[inline]
-    pub(crate) fn forwarding_port(&self, switch: u32) -> Option<u32> {
-        self.forwarding
-            .binary_search_by_key(&switch, |e| e.0)
-            .ok()
-            .map(|i| self.forwarding[i].1)
+    fn bytes(&self, buffer: FrameRef) -> &[u8] {
+        self.arena.bytes(buffer)
+    }
+
+    #[inline]
+    fn free(&mut self, buffer: FrameRef) {
+        self.arena.free(buffer);
     }
 }
 
-/// The simulator.
+/// The simulator: the one-shard driver of the crate's port engine.
 #[derive(Debug)]
 pub struct Simulator {
-    pub(crate) config: SimConfig,
-    pub(crate) events: EventQueue,
+    /// The fixed wiring (dense indices, channel wire state, frame records)
+    /// every event reads.
+    pub(crate) fabric: Fabric,
+    /// Ports, statistics, the event queue, the dense next-hop form of the
+    /// router's table, and the per-event handlers.
+    pub(crate) engine: PortEngine,
+    /// Pooled buffers for in-flight frame bytes: injection serialises each
+    /// frame once into a recycled buffer, every hop hands the index along,
+    /// and the buffer returns to the pool at delivery or drop.
+    pub(crate) arena: FrameArena,
     pub(crate) topology: Topology,
-    /// The path-selection policy the fabric was built with.
+    /// The path-selection policy the fabric was built with.  The
+    /// `BTreeMap` reference form of its table is *not* held here: the
+    /// router's cache materialises it lazily for whoever asks
+    /// ([`Simulator::next_hop_table`]), so a structural fabric never pays
+    /// the O(V²) table at all.
     pub(crate) router: Arc<dyn Router>,
-    /// The `(at, towards) → neighbour` forwarding state of the trunk graph
-    /// in dense form — what the per-event path reads.  The `BTreeMap`
-    /// reference form is *not* held here: the router's cache materialises
-    /// it lazily for whoever asks ([`Simulator::next_hop_table`]), so a
-    /// structural fabric never pays the O(V²) table at all.
-    pub(crate) dense_next_hop: Arc<DenseNextHop>,
-    /// Raw node id → dense node index.
-    pub(crate) node_index: IdIndex,
-    /// Dense node index → dense index of the node's access switch.
-    pub(crate) node_access: Vec<u32>,
-    /// Dense `(from, to)` switch-index pair → trunk port id (`NO_INDEX`
-    /// where no trunk exists); row-major `from · S + to`.
-    pub(crate) trunk_ports: Vec<u32>,
-    /// One output port per directed edge, by dense port id: uplink of node
-    /// `i` at `2i`, its downlink at `2i + 1`, trunk ports after all access
-    /// ports.
-    ports: Vec<OutputPort>,
-    /// Dense port id → the directed link it drives.
-    pub(crate) port_links: Vec<HopLink>,
     /// MAC → node table (static; consulted once per frame at injection).
     forwarding: HashMap<MacAddr, NodeId>,
     /// The generic switch MAC address (node-originated control traffic is
@@ -456,37 +387,8 @@ pub struct Simulator {
     /// switch-to-switch reservation frames).
     switch_macs: HashMap<MacAddr, u32>,
     /// The switch hosting the RT channel management software.
-    pub(crate) manager_switch: SwitchId,
-    /// Dense index of the managing switch.
-    pub(crate) manager_index: u32,
-    /// `true` when the topology places a channel manager on every switch:
-    /// frames addressed to the generic switch MAC are then consumed by the
-    /// first switch that receives them instead of being forwarded to the
-    /// managing switch.
-    pub(crate) distributed_control: bool,
-    /// Per-channel route state (deadline budgets + forwarding entries),
-    /// indexed by raw channel id.
-    pub(crate) channel_wire: Vec<Option<ChannelWireState>>,
-    /// Channels whose wire state was torn down ([`Simulator::release_channel`]),
-    /// indexed by raw channel id: their late frames are dropped at the first
-    /// switch and counted, never silently delivered.  Re-installing a hop
-    /// schedule (re-admission under the same id) clears the flag.
-    pub(crate) released_channels: Vec<bool>,
-    /// Ports whose link is currently failed, by dense port id.  Only trunk
-    /// ports can die today; access links never fail.
-    dead_ports: Vec<bool>,
-    /// Ports that had a frame mid-serialisation when their link was cut:
-    /// that frame is lost even if the link is repaired before the
-    /// transmission-complete event fires.
-    doomed_ports: Vec<bool>,
-    pub(crate) frames: Vec<FrameRecord>,
-    /// Pooled buffers for in-flight frame bytes
-    /// ([`FrameStoreKind::Arena`]); empty and untouched in `Owned` mode.
-    pub(crate) arena: FrameArena,
+    manager_switch: SwitchId,
     pub(crate) pending_deliveries: Vec<Delivery>,
-    /// Reusable scratch for the batched same-time event drain.
-    event_batch: Vec<Event>,
-    pub(crate) stats: SimStats,
 }
 
 impl Simulator {
@@ -524,95 +426,38 @@ impl Simulator {
             return Err(RtError::Config("the switch graph must be connected".into()));
         }
         router.validate(&topology)?;
-        let make_port = || match config.be_queue_capacity {
-            Some(cap) => OutputPort::with_be_capacity(cap),
-            None => OutputPort::new(),
-        };
-        let dense_next_hop = router.dense_next_hop(&topology);
-        let switch_count = dense_next_hop.switch_count();
-
-        // Dense node layout: `topology.nodes()` iterates in ascending id
-        // order, which is exactly the IdIndex ordering.
-        let node_index = IdIndex::new(topology.nodes().map(|n| n.get()));
-        let mut node_access = Vec::with_capacity(node_index.len());
-        let mut ports = Vec::with_capacity(2 * node_index.len() + 2 * topology.trunk_count());
-        let mut port_links = Vec::with_capacity(ports.capacity());
-        let mut forwarding = HashMap::new();
-        for node in topology.nodes() {
-            let access = topology
-                .switch_of(node)
-                .expect("nodes() yields attached nodes");
-            node_access.push(
-                dense_next_hop
-                    .index_of(access)
-                    .expect("attachments reference known switches"),
-            );
-            ports.push(make_port());
-            port_links.push(HopLink::Uplink(node));
-            ports.push(make_port());
-            port_links.push(HopLink::Downlink(node));
-            forwarding.insert(MacAddr::for_node(node), node);
-        }
-        let mut trunk_ports = vec![NO_INDEX; switch_count * switch_count];
-        for (a, b) in topology.trunks() {
-            for (from, to) in [(a, b), (b, a)] {
-                let f = dense_next_hop.index_of(from).expect("trunk switch known") as usize;
-                let t = dense_next_hop.index_of(to).expect("trunk switch known") as usize;
-                trunk_ports[f * switch_count + t] = ports.len() as u32;
-                ports.push(make_port());
-                port_links.push(HopLink::Trunk { from, to });
-            }
-        }
-        let manager_switch = topology
+        let dense = router.dense_next_hop(&topology);
+        let fabric = Fabric::new(config, &topology, &dense);
+        let forwarding = topology
+            .nodes()
+            .map(|node| (MacAddr::for_node(node), node))
+            .collect();
+        let switch_macs = topology
             .switches()
-            .next()
-            .expect("switch_count checked above");
-        let manager_index = dense_next_hop
-            .index_of(manager_switch)
-            .expect("manager is a topology switch");
-        let mut switch_macs = HashMap::with_capacity(switch_count);
-        for switch in topology.switches() {
-            let idx = dense_next_hop
-                .index_of(switch)
-                .expect("switches are indexed");
-            switch_macs.insert(MacAddr::for_switch_id(switch), idx);
-        }
-        let distributed_control =
-            topology.manager_placement() == rt_types::ManagerPlacement::Distributed;
-        let stats = SimStats::for_ports(port_links.clone());
-        let port_count = ports.len();
+            .map(|switch| {
+                let idx = dense.index_of(switch).expect("switches are indexed");
+                (MacAddr::for_switch_id(switch), idx)
+            })
+            .collect();
+        let manager_switch = dense.switch_at(fabric.manager_index);
+        let engine = PortEngine::new(&fabric, dense, config.scheduler);
         Ok(Simulator {
-            config,
-            events: EventQueue::with_scheduler(config.scheduler),
+            fabric,
+            engine,
+            arena: FrameArena::new(),
             topology,
             router,
-            dense_next_hop,
-            node_index,
-            node_access,
-            trunk_ports,
-            ports,
-            port_links,
             forwarding,
             switch_mac: MacAddr::for_switch(),
             switch_macs,
             manager_switch,
-            manager_index,
-            distributed_control,
-            channel_wire: Vec::new(),
-            released_channels: Vec::new(),
-            dead_ports: vec![false; port_count],
-            doomed_ports: vec![false; port_count],
-            frames: Vec::new(),
-            arena: FrameArena::new(),
             pending_deliveries: Vec::new(),
-            event_batch: Vec::new(),
-            stats,
         })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.fabric.config
     }
 
     /// The topology the fabric was built from.
@@ -627,7 +472,7 @@ impl Simulator {
 
     /// The event scheduler the simulation runs on.
     pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.events.scheduler_kind()
+        self.engine.queue.scheduler_kind()
     }
 
     /// The router's `(at, towards) → neighbour` next-hop table (reference
@@ -645,22 +490,22 @@ impl Simulator {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.events.now()
+        self.engine.queue.now()
     }
 
     /// Number of end nodes attached to the fabric.
     pub fn node_count(&self) -> usize {
-        self.node_index.len()
+        self.fabric.node_index.len()
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events.processed()
+        self.engine.queue.processed()
     }
 
     /// Number of frames ever registered with the fabric (every injection
@@ -668,12 +513,12 @@ impl Simulator {
     /// event queue drains, `injected_count() == stats().total_delivered() +
     /// stats().total_dropped()` — frame conservation.
     pub fn injected_count(&self) -> u64 {
-        self.frames.len() as u64
+        self.fabric.frames.len() as u64
     }
 
     /// Number of events still pending.
     pub fn events_pending(&self) -> usize {
-        self.events.len()
+        self.engine.queue.len() + self.engine.arrivals.len()
     }
 
     /// Drain the deliveries that have accumulated since the last call.
@@ -681,44 +526,16 @@ impl Simulator {
         std::mem::take(&mut self.pending_deliveries)
     }
 
-    // --- dense lookups ---------------------------------------------------
-
-    /// Dense node index of an event's node (events only reference nodes
-    /// that passed injection validation).
-    #[inline]
-    fn node_idx(&self, node: NodeId) -> u32 {
-        self.node_index
-            .get(node.get())
-            .expect("events only reference attached nodes")
-    }
-
-    /// Dense switch index of an event's switch.
-    #[inline]
-    fn switch_idx(&self, switch: SwitchId) -> u32 {
-        self.dense_next_hop
-            .index_of(switch)
-            .expect("events only reference topology switches")
-    }
-
-    /// The trunk port from dense switch `from` to dense switch `to`.
-    #[inline]
-    fn trunk_port(&self, from: u32, to: u32) -> Option<u32> {
-        let s = self.dense_next_hop.switch_count();
-        match self.trunk_ports[from as usize * s + to as usize] {
-            NO_INDEX => None,
-            port => Some(port),
-        }
-    }
-
     /// The port id of a topology link, if the link exists in this fabric.
     fn port_of_link(&self, link: HopLink) -> Option<u32> {
+        let node_index = &self.fabric.node_index;
         match link {
-            HopLink::Uplink(node) => self.node_index.get(node.get()).map(|i| 2 * i),
-            HopLink::Downlink(node) => self.node_index.get(node.get()).map(|i| 2 * i + 1),
+            HopLink::Uplink(node) => node_index.get(node.get()).map(|i| 2 * i),
+            HopLink::Downlink(node) => node_index.get(node.get()).map(|i| 2 * i + 1),
             HopLink::Trunk { from, to } => {
-                let f = self.dense_next_hop.index_of(from)?;
-                let t = self.dense_next_hop.index_of(to)?;
-                self.trunk_port(f, t)
+                let f = self.engine.dense.index_of(from)?;
+                let t = self.engine.dense.index_of(to)?;
+                self.fabric.trunk_port(f, t)
             }
         }
     }
@@ -745,8 +562,7 @@ impl Simulator {
                 state.set_offset(port, offset);
             }
         }
-        *self.channel_wire_slot(channel) = Some(state);
-        self.mark_released(channel, false);
+        self.install_channel(channel, state);
     }
 
     /// Install the forwarding entries of an admitted channel's [`Route`]
@@ -758,8 +574,7 @@ impl Simulator {
         for &link in route.links() {
             self.add_forwarding_entry(&mut state, link);
         }
-        *self.channel_wire_slot(channel) = Some(state);
-        self.mark_released(channel, false);
+        self.install_channel(channel, state);
     }
 
     /// The per-switch forwarding entry one route link contributes: a trunk
@@ -769,24 +584,35 @@ impl Simulator {
         match link {
             HopLink::Trunk { from, .. } => {
                 if let (Some(switch), Some(port)) =
-                    (self.dense_next_hop.index_of(from), self.port_of_link(link))
+                    (self.engine.dense.index_of(from), self.port_of_link(link))
                 {
                     state.set_forwarding(switch, port);
                 }
             }
             HopLink::Downlink(node) => {
-                if let Some(node_idx) = self.node_index.get(node.get()) {
-                    state.set_forwarding(self.node_access[node_idx as usize], 2 * node_idx + 1);
+                if let Some(node_idx) = self.fabric.node_index.get(node.get()) {
+                    let access = self.fabric.node_access[node_idx as usize];
+                    state.set_forwarding(access, 2 * node_idx + 1);
                 }
             }
             HopLink::Uplink(_) => {}
         }
     }
 
+    fn install_channel(&mut self, channel: ChannelId, state: ChannelWireState) {
+        let idx = channel.get() as usize;
+        let wire = &mut self.fabric.channel_wire;
+        if idx >= wire.len() {
+            wire.resize_with(idx + 1, || None);
+        }
+        wire[idx] = Some(state);
+        self.mark_released(channel, false);
+    }
+
     /// Forget a channel's wire state (the raw table edit; most callers want
     /// the full [`Simulator::release_channel`] teardown).
     pub fn clear_channel_hop_schedule(&mut self, channel: ChannelId) {
-        if let Some(slot) = self.channel_wire.get_mut(channel.get() as usize) {
+        if let Some(slot) = self.fabric.channel_wire.get_mut(channel.get() as usize) {
             *slot = None;
         }
     }
@@ -806,38 +632,14 @@ impl Simulator {
 
     fn mark_released(&mut self, channel: ChannelId, released: bool) {
         let idx = channel.get() as usize;
-        if idx >= self.released_channels.len() {
+        let flags = &mut self.fabric.released_channels;
+        if idx >= flags.len() {
             if !released {
                 return;
             }
-            self.released_channels.resize(idx + 1, false);
+            flags.resize(idx + 1, false);
         }
-        self.released_channels[idx] = released;
-    }
-
-    /// `true` if the channel's wire state was torn down and not re-installed.
-    #[inline]
-    fn is_released(&self, channel: Option<ChannelId>) -> bool {
-        channel.is_some_and(|c| {
-            self.released_channels
-                .get(c.get() as usize)
-                .copied()
-                .unwrap_or(false)
-        })
-    }
-
-    fn channel_wire_slot(&mut self, channel: ChannelId) -> &mut Option<ChannelWireState> {
-        let idx = channel.get() as usize;
-        if idx >= self.channel_wire.len() {
-            self.channel_wire.resize_with(idx + 1, || None);
-        }
-        &mut self.channel_wire[idx]
-    }
-
-    /// The installed wire state of a channel, if any (hot path).
-    #[inline]
-    fn channel_state(&self, channel: Option<ChannelId>) -> Option<&ChannelWireState> {
-        self.channel_wire.get(channel?.get() as usize)?.as_ref()
+        flags[idx] = released;
     }
 
     // --- fault injection --------------------------------------------------
@@ -851,32 +653,7 @@ impl Simulator {
     /// at the dead ports drop (and count) their frames until the channel is
     /// re-routed.
     pub fn fail_link(&mut self, from: SwitchId, to: SwitchId) -> RtResult<()> {
-        self.topology.fail_trunk(from, to)?;
-        let now = self.now();
-        self.kill_trunk_ports(from, to, now);
-        self.refresh_routing_tables();
-        Ok(())
-    }
-
-    /// Kill both directed ports of one trunk: mark them dead, doom a frame
-    /// mid-serialisation (lost with the cable even across a repair), and
-    /// drain + count their queues.
-    fn kill_trunk_ports(&mut self, a: SwitchId, b: SwitchId, now: SimTime) {
-        let f = self.switch_idx(a);
-        let t = self.switch_idx(b);
-        for (x, y) in [(f, t), (t, f)] {
-            if let Some(port) = self.trunk_port(x, y) {
-                let p = port as usize;
-                self.dead_ports[p] = true;
-                if self.ports[p].is_busy(now) {
-                    self.doomed_ports[p] = true;
-                }
-                for lost in self.ports[p].drain() {
-                    self.stats.record_failed_link_drop();
-                    self.discard_frame(lost.frame);
-                }
-            }
-        }
+        self.apply_fault(LinkFault::Fail { from, to })
     }
 
     /// Splice a previously cut trunk back: the topology recovers
@@ -886,16 +663,7 @@ impl Simulator {
     /// re-selection after a repair is an admission-control decision, not a
     /// wire-level one.
     pub fn repair_link(&mut self, from: SwitchId, to: SwitchId) -> RtResult<()> {
-        self.topology.repair_trunk(from, to)?;
-        let f = self.switch_idx(from);
-        let t = self.switch_idx(to);
-        for (a, b) in [(f, t), (t, f)] {
-            if let Some(port) = self.trunk_port(a, b) {
-                self.dead_ports[port as usize] = false;
-            }
-        }
-        self.refresh_routing_tables();
-        Ok(())
+        self.apply_fault(LinkFault::Repair { from, to })
     }
 
     /// Cut every healthy trunk incident to `switch` *now*, atomically: the
@@ -906,23 +674,30 @@ impl Simulator {
     /// its access links) survives; repairs splice trunks back one at a
     /// time via [`Simulator::repair_link`].
     pub fn fail_switch(&mut self, switch: SwitchId) -> RtResult<()> {
-        let cut = self.topology.fail_switch(switch)?;
-        let now = self.now();
-        for &(a, b) in &cut {
-            self.kill_trunk_ports(a, b, now);
-        }
-        self.refresh_routing_tables();
-        Ok(())
+        self.apply_fault(LinkFault::FailSwitch { switch })
     }
 
-    /// Re-pull the dense next-hop form from the router after a topology
-    /// mutation.  The router caches per fingerprint (rebuilding
-    /// incrementally for a single trunk flip), so this is cheap when
-    /// nothing changed and one bounded recompute when something did.  The
+    /// Apply a fault now: mutate the topology, kill or revive the affected
+    /// trunk ports, and re-pull the dense next-hop form from the router.
+    /// The router caches per fingerprint (rebuilding incrementally for a
+    /// single trunk flip), so the re-pull is one bounded recompute.  The
     /// dense switch indexing is stable across failures (the switch set
     /// never changes), so ports and trunk indices stay valid.
-    fn refresh_routing_tables(&mut self) {
-        self.dense_next_hop = self.router.dense_next_hop(&self.topology);
+    fn apply_fault(&mut self, fault: LinkFault) -> RtResult<()> {
+        let ports = fault.apply(&mut self.topology, &self.fabric, &self.engine.dense)?;
+        let now = self.now();
+        let mut direct = Direct {
+            arena: &mut self.arena,
+            deliveries: &mut self.pending_deliveries,
+        };
+        for &port in &ports.killed {
+            self.engine.kill_port(&self.fabric, &mut direct, port, now);
+        }
+        for &port in &ports.revived {
+            self.engine.revive_port(port);
+        }
+        self.engine.dense = self.router.dense_next_hop(&self.topology);
+        Ok(())
     }
 
     /// Schedule a single fault as a first-class simulator event: it fires in
@@ -932,12 +707,8 @@ impl Simulator {
         if at < self.now() {
             return Err(Self::past_injection_error(at, self.now()));
         }
-        let event = match fault {
-            LinkFault::Fail { from, to } => Event::FailTrunk { from, to },
-            LinkFault::Repair { from, to } => Event::RepairTrunk { from, to },
-            LinkFault::FailSwitch { switch } => Event::FailSwitch { switch },
-        };
-        self.schedule_event(at, event);
+        self.settle();
+        self.engine.schedule(at, Event::Fault(fault));
         Ok(())
     }
 
@@ -989,13 +760,10 @@ impl Simulator {
         }
         match self.forwarding.get(&dst) {
             Some(&node) => {
-                let node_idx = self
-                    .node_index
-                    .get(node.get())
-                    .expect("forwarding only holds attached nodes");
+                let node = self.fabric.node_idx(node);
                 FrameDest::Node {
-                    node: node_idx,
-                    switch: self.node_access[node_idx as usize],
+                    node,
+                    switch: self.fabric.node_access[node as usize],
                 }
             }
             None => FrameDest::Unknown,
@@ -1027,44 +795,31 @@ impl Simulator {
         source: NodeId,
         injected_at: SimTime,
     ) -> FrameId {
-        let dest = self.resolve_dest(eth.dst);
-        let wire_bytes = eth.wire_bytes();
-        let id = FrameId(self.frames.len() as u64);
-        if link_state {
-            self.stats.record_link_state_frame();
-        } else if Self::is_control_record(class, channel) {
-            self.stats.record_control_frame();
-        }
+        let id = FrameId(self.fabric.frames.len() as u64);
         // The one serialisation of the zero-copy path: the frame's unpadded
         // wire image goes into a pooled buffer here, and only the small
-        // `FrameRef` travels through the event loop.
-        let stored = match self.config.frame_store {
-            FrameStoreKind::Owned => StoredFrame::Owned(eth),
-            FrameStoreKind::Arena => StoredFrame::Pooled(
-                self.arena
-                    .alloc_with(eth.unpadded_len(), |buf| eth.encode_unpadded_to_slice(buf)),
-            ),
-        };
-        self.frames.push(FrameRecord {
-            stored,
+        // `FrameId` travels through the event loop.
+        let buffer = self
+            .arena
+            .alloc_with(eth.unpadded_len(), |buf| eth.encode_unpadded_to_slice(buf));
+        let record = FrameRecord {
+            buffer,
             class,
             deadline,
             channel,
             link_state,
-            dest,
+            dest: self.resolve_dest(eth.dst),
             source,
             injected_at,
-            wire_bytes,
-        });
+            wire_bytes: eth.wire_bytes(),
+        };
+        if link_state {
+            self.engine.stats.record_link_state_frame();
+        } else if record.is_control() {
+            self.engine.stats.record_control_frame();
+        }
+        self.fabric.frames.push(record);
         id
-    }
-
-    /// `true` if a frame of this classification is control-plane traffic:
-    /// real-time class without a data channel (establishment, reservation
-    /// and tear-down frames; RT data always carries its channel id).
-    #[inline]
-    pub(crate) fn is_control_record(class: TrafficClass, channel: Option<ChannelId>) -> bool {
-        class == TrafficClass::RealTime && channel.is_none()
     }
 
     /// One checked gate for every injection path: the entry point must be an
@@ -1072,7 +827,7 @@ impl Simulator {
     /// error construction is kept out of line so the (always-taken) happy
     /// path stays branch-plus-return.
     fn validate_injection(&self, node: NodeId, at: SimTime) -> RtResult<()> {
-        if self.node_index.get(node.get()).is_none() {
+        if self.fabric.node_index.get(node.get()).is_none() {
             return Err(RtError::UnknownNode(node));
         }
         if at < self.now() {
@@ -1089,13 +844,12 @@ impl Simulator {
         ))
     }
 
-    /// Schedule an internal event, folding the (release-build) past-time
-    /// clamp count into the run statistics.
-    #[inline]
-    fn schedule_event(&mut self, at: SimTime, event: Event) {
-        if self.events.schedule(at, event) {
-            self.stats.record_clamped();
-        }
+    /// Schedule an injected frame's first event.  Arrivals still held by a
+    /// half-stepped instant go onto the calendar first, so they keep the
+    /// precedence they had when they were emitted.
+    fn schedule_injection(&mut self, at: SimTime, event: Event) {
+        self.settle();
+        self.engine.schedule(at, event);
     }
 
     /// Inject a frame at `node`'s RT layer at time `at` (it enters the NIC
@@ -1103,7 +857,7 @@ impl Simulator {
     pub fn inject(&mut self, node: NodeId, eth: EthernetFrame, at: SimTime) -> RtResult<FrameId> {
         self.validate_injection(node, at)?;
         let id = self.register_frame(eth, node, at)?;
-        self.schedule_event(at, Event::EnqueueAtNode { node, frame: id });
+        self.schedule_injection(at, Event::EnqueueAtNode { node, frame: id });
         Ok(id)
     }
 
@@ -1127,11 +881,11 @@ impl Simulator {
             prepared.push((injection, classified));
         }
         // Infallible from here on.
-        self.frames.reserve(prepared.len());
+        self.fabric.frames.reserve(prepared.len());
         let mut ids = Vec::with_capacity(prepared.len());
         for (FrameInjection { node, eth, at }, classified) in prepared {
             let id = self.register_classified(eth, classified, node, at);
-            self.schedule_event(at, Event::EnqueueAtNode { node, frame: id });
+            self.schedule_injection(at, Event::EnqueueAtNode { node, frame: id });
             ids.push(id);
         }
         Ok(ids)
@@ -1148,7 +902,7 @@ impl Simulator {
     ) -> RtResult<FrameId> {
         self.validate_injection(to, at)?;
         let id = self.register_frame(eth, NodeId::SWITCH, at)?;
-        self.schedule_event(at, Event::EnqueueAtSwitch { to, frame: id });
+        self.schedule_injection(at, Event::EnqueueAtSwitch { to, frame: id });
         Ok(id)
     }
 
@@ -1165,20 +919,18 @@ impl Simulator {
         eth: EthernetFrame,
         at: SimTime,
     ) -> RtResult<FrameId> {
-        if self.dense_next_hop.index_of(at_switch).is_none() {
+        if self.engine.dense.index_of(at_switch).is_none() {
             return Err(RtError::Config(format!("unknown switch {at_switch}")));
         }
         if at < self.now() {
             return Err(Self::past_injection_error(at, self.now()));
         }
         let id = self.register_frame(eth, NodeId::SWITCH, at)?;
-        self.schedule_event(
-            at,
-            Event::ArriveAtSwitch {
-                switch: at_switch,
-                frame: id,
-            },
-        );
+        let event = Event::ArriveAtSwitch {
+            switch: at_switch,
+            frame: id,
+        };
+        self.schedule_injection(at, event);
         Ok(id)
     }
 
@@ -1189,17 +941,9 @@ impl Simulator {
     /// Events are drained in same-time *runs*: one scheduler dispatch pulls
     /// every event scheduled at the minimal instant (in FIFO order), so a
     /// burst of simultaneous arrivals costs one min-search instead of one
-    /// per event.  Events the handlers schedule at that same instant carry
-    /// later sequence numbers, so handling the run before them is exactly
-    /// the single-pop order.
+    /// per event.
     pub fn run_to_idle(&mut self) -> SimTime {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while let Some(time) = self.events.pop_run(&mut batch) {
-            for event in batch.drain(..) {
-                self.handle(time, event);
-            }
-        }
-        self.event_batch = batch;
+        while self.run_instant(None) {}
         self.now()
     }
 
@@ -1222,9 +966,8 @@ impl Simulator {
     /// `limit` remains (`false`).  Events after `limit` stay pending.
     pub fn run_until_delivery_before(&mut self, limit: SimTime) -> bool {
         while self.pending_deliveries.is_empty() {
-            match self.events.pop_until(limit) {
-                Some((time, event)) => self.handle(time, event),
-                None => return false,
+            if !self.step_until(Some(limit)) {
+                return false;
             }
         }
         true
@@ -1234,13 +977,7 @@ impl Simulator {
     /// Same-time runs are drained in one scheduler dispatch, as in
     /// [`Simulator::run_to_idle`].
     pub fn run_until(&mut self, limit: SimTime) {
-        let mut batch = std::mem::take(&mut self.event_batch);
-        while let Some(time) = self.events.pop_run_until(limit, &mut batch) {
-            for event in batch.drain(..) {
-                self.handle(time, event);
-            }
-        }
-        self.event_batch = batch;
+        while self.run_instant(Some(limit)) {}
     }
 
     /// Drive the simulation with a pull-based [`TrafficSource`]: inject the
@@ -1271,364 +1008,76 @@ impl Simulator {
 
     /// Process a single event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.events.pop() {
-            Some((time, event)) => {
-                self.handle(time, event);
-                true
-            }
-            None => false,
-        }
+        self.step_until(None)
     }
 
-    fn tx_time(&self, wire_bytes: usize) -> Duration {
-        self.config.link_speed.transmission_time(wire_bytes)
+    /// Execute the whole run of events at the earliest pending instant (at
+    /// or before `limit`), then close the instant; `false` when none is
+    /// due.
+    fn run_instant(&mut self, limit: Option<SimTime>) -> bool {
+        let mut batch = std::mem::take(&mut self.engine.batch);
+        let popped = match limit {
+            Some(limit) => self.engine.queue.pop_run_until(limit, &mut batch),
+            None => self.engine.queue.pop_run(&mut batch),
+        };
+        let Some(time) = popped else {
+            self.engine.batch = batch;
+            return false;
+        };
+        for event in batch.drain(..) {
+            self.dispatch(time, event);
+        }
+        self.engine.batch = batch;
+        self.settle();
+        true
     }
 
-    /// The output port a frame takes when it sits at dense switch `at` and
-    /// must reach the dense destination node `dest_node` attached to dense
-    /// switch `dest_switch`: the channel's installed route entry when one
-    /// exists, otherwise the local downlink or the trunk port towards the
-    /// next switch of the next-hop table.
-    #[inline]
-    fn egress_port(
-        &self,
-        at: u32,
-        dest_node: u32,
-        dest_switch: u32,
-        channel: Option<ChannelId>,
-    ) -> Option<u32> {
-        if let Some(port) = self
-            .channel_state(channel)
-            .and_then(|state| state.forwarding_port(at))
-        {
-            return Some(port);
+    /// Execute one event (at or before `limit`), closing its instant when
+    /// it was the instant's last; `false` when none is due.
+    fn step_until(&mut self, limit: Option<SimTime>) -> bool {
+        let popped = match limit {
+            Some(limit) => self.engine.queue.pop_until(limit),
+            None => self.engine.queue.pop(),
+        };
+        let Some((time, event)) = popped else {
+            return false;
+        };
+        self.dispatch(time, event);
+        if self.engine.queue.peek_time() != Some(time) {
+            self.settle();
         }
-        if dest_switch == at {
-            return Some(2 * dest_node + 1);
-        }
-        let next = self.dense_next_hop.next_hop_index(at, dest_switch)?;
-        self.trunk_port(at, next)
+        true
     }
 
-    fn handle(&mut self, now: SimTime, event: Event) {
-        match event {
-            Event::EnqueueAtNode { node, frame } => {
-                let port = 2 * self.node_idx(node);
-                self.enqueue_at_port(frame, port);
-                self.try_start_tx(now, port);
-            }
-            Event::NodeTxComplete { node, frame } => {
-                let node_idx = self.node_idx(node);
-                let port = 2 * node_idx;
-                self.ports[port as usize].clear_busy();
-                // Last bit leaves the node now; it arrives at the access
-                // switch after the propagation delay, and becomes eligible
-                // for forwarding after the switch processing latency.
-                let arrive = now + self.config.propagation_delay + self.config.switch_latency;
-                let switch = self
-                    .dense_next_hop
-                    .switch_at(self.node_access[node_idx as usize]);
-                self.schedule_event(arrive, Event::ArriveAtSwitch { switch, frame });
-                self.try_start_tx(now, port);
-            }
-            Event::ArriveAtSwitch { switch, frame } => {
-                let at = self.switch_idx(switch);
-                let record = &self.frames[frame.0 as usize];
-                let channel = record.channel;
-                match record.dest {
-                    FrameDest::ControlPlane => {
-                        // Generic control-plane traffic.  Distributed
-                        // placement: the first switch to see the frame runs
-                        // a manager and consumes it.  Central placement:
-                        // deliver at the managing switch, forward over
-                        // trunks towards it from anywhere else.
-                        if self.distributed_control || at == self.manager_index {
-                            let switch = self.dense_next_hop.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense_next_hop
-                            .next_hop_index(at, self.manager_index)
-                            .and_then(|next| self.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Switch { switch: target } => {
-                        // Switch-to-switch control traffic (reservation
-                        // frames): deliver at the addressed switch, forward
-                        // over trunks towards it from anywhere else.
-                        if at == target {
-                            let switch = self.dense_next_hop.switch_at(at);
-                            self.deliver_to_switch(frame, switch, now);
-                        } else if let Some(port) = self
-                            .dense_next_hop
-                            .next_hop_index(at, target)
-                            .and_then(|next| self.trunk_port(at, next))
-                        {
-                            self.enqueue_at_port(frame, port);
-                            self.try_start_tx(now, port);
-                        } else {
-                            self.stats.record_unroutable();
-                            self.discard_frame(frame);
-                        }
-                    }
-                    FrameDest::Node {
-                        node: dest_node,
-                        switch: dest_switch,
-                    } => {
-                        if self.is_released(channel) {
-                            // The channel was torn down: the switch has no
-                            // state for it any more, so the frame is
-                            // discarded, not delivered on a stale route.
-                            self.stats.record_released_channel_drop();
-                            self.discard_frame(frame);
-                            return;
-                        }
-                        match self.egress_port(at, dest_node, dest_switch, channel) {
-                            Some(port) if self.dead_ports[port as usize] => {
-                                // A stale per-channel forwarding entry still
-                                // points at the cut trunk; the frame is lost
-                                // until the channel is re-routed.
-                                self.stats.record_failed_link_drop();
-                                self.discard_frame(frame);
-                            }
-                            Some(port) => {
-                                self.enqueue_at_port(frame, port);
-                                self.try_start_tx(now, port);
-                            }
-                            None => {
-                                self.stats.record_unroutable();
-                                self.discard_frame(frame);
-                            }
-                        }
-                    }
-                    FrameDest::Unknown => {
-                        self.stats.record_unroutable();
-                        self.discard_frame(frame);
-                    }
-                }
-            }
-            Event::EnqueueAtSwitch { to, frame } => {
-                // Control-plane origination at the managing switch.
-                let to_idx = self.node_idx(to);
-                let dest_switch = self.node_access[to_idx as usize];
-                match self.egress_port(self.manager_index, to_idx, dest_switch, None) {
-                    Some(port) => {
-                        self.enqueue_at_port(frame, port);
-                        self.try_start_tx(now, port);
-                    }
-                    None => {
-                        self.stats.record_unroutable();
-                        self.discard_frame(frame);
-                    }
-                }
-            }
-            Event::SwitchTxComplete { to, frame } => {
-                let port = 2 * self.node_idx(to) + 1;
-                self.ports[port as usize].clear_busy();
-                let arrive = now + self.config.propagation_delay;
-                self.schedule_event(arrive, Event::ArriveAtNode { node: to, frame });
-                self.try_start_tx(now, port);
-            }
-            Event::TrunkTxComplete { from, to, frame } => {
-                let from_idx = self.switch_idx(from);
-                let to_idx = self.switch_idx(to);
-                if let Some(port) = self.trunk_port(from_idx, to_idx) {
-                    let p = port as usize;
-                    self.ports[p].clear_busy();
-                    if self.doomed_ports[p] || self.dead_ports[p] {
-                        // The cable was cut while this frame was on it (or
-                        // is still cut): the frame never arrives.  A dead
-                        // port has empty queues (drained at failure time,
-                        // enqueues blocked), but a *repaired* port may have
-                        // picked up new frames while this doomed
-                        // transmission still held it busy — restart it.
-                        self.doomed_ports[p] = false;
-                        self.stats.record_failed_link_drop();
-                        self.discard_frame(frame);
-                        self.try_start_tx(now, port);
-                        return;
-                    }
-                    // Store-and-forward at the receiving switch, exactly as
-                    // for a frame arriving over an uplink.
-                    let arrive = now + self.config.propagation_delay + self.config.switch_latency;
-                    self.schedule_event(arrive, Event::ArriveAtSwitch { switch: to, frame });
-                    self.try_start_tx(now, port);
-                }
-            }
-            Event::ArriveAtNode { node, frame } => {
-                self.deliver(frame, node, now);
-            }
-            Event::FailTrunk { from, to } => {
-                // A scripted cut of an already-failed (or unknown) trunk is
-                // a script bug in debug builds; release builds ignore it
-                // rather than corrupting the run.
-                let result = self.fail_link(from, to);
-                debug_assert!(result.is_ok(), "scripted FailTrunk failed: {result:?}");
-            }
-            Event::RepairTrunk { from, to } => {
-                let result = self.repair_link(from, to);
-                debug_assert!(result.is_ok(), "scripted RepairTrunk failed: {result:?}");
-            }
-            Event::FailSwitch { switch } => {
-                let result = self.fail_switch(switch);
-                debug_assert!(result.is_ok(), "scripted FailSwitch failed: {result:?}");
-            }
-        }
-    }
-
-    /// The EDF deadline a frame uses while queued at port `port`: the
-    /// registered per-hop budget of its channel when one exists, the
-    /// end-to-end stamp otherwise.
-    #[inline]
-    fn queue_deadline(&self, record: &FrameRecord, port: u32) -> Option<SimTime> {
-        if let Some(offset) = self
-            .channel_state(record.channel)
-            .and_then(|state| state.offset_for(port))
-        {
-            return Some(record.injected_at + offset);
-        }
-        record.deadline
-    }
-
-    fn enqueue_at_port(&mut self, frame: FrameId, port: u32) {
-        let record = &self.frames[frame.0 as usize];
-        let class = record.class;
-        let deadline = self.queue_deadline(record, port);
-        let out = &mut self.ports[port as usize];
-        match class {
-            TrafficClass::RealTime => {
-                // Control frames have no deadline; give them "now or
-                // earlier" urgency by using time zero so they are never
-                // queued behind data frames.
-                out.enqueue_rt(frame, deadline.unwrap_or(SimTime::ZERO));
-            }
-            TrafficClass::BestEffort => {
-                if !out.enqueue_be(frame) {
-                    self.stats.record_be_drop();
-                    self.discard_frame(frame);
-                }
-            }
-        }
-    }
-
-    fn try_start_tx(&mut self, now: SimTime, port: u32) {
-        let out = &mut self.ports[port as usize];
-        if out.is_busy(now) || out.is_empty() {
+    /// Hand one event to the engine, or apply it here if it is a fault.
+    fn dispatch(&mut self, now: SimTime, event: Event) {
+        if let Event::Fault(fault) = event {
+            // A scripted cut of an already-failed (or unknown) trunk is a
+            // script bug in debug builds; release builds ignore it rather
+            // than corrupting the run.
+            let result = self.apply_fault(fault);
+            debug_assert!(result.is_ok(), "scripted {fault:?} failed: {result:?}");
             return;
         }
-        let Some(queued) = out.dequeue_next() else {
-            return;
+        let mut direct = Direct {
+            arena: &mut self.arena,
+            deliveries: &mut self.pending_deliveries,
         };
-        let record = &self.frames[queued.frame.0 as usize];
-        let wire_bytes = record.wire_bytes;
-        if record.link_state {
-            self.stats.record_link_state_hop();
-        } else if Self::is_control_record(record.class, record.channel) {
-            self.stats.record_control_hop();
-        }
-        let tx = self.config.link_speed.transmission_time(wire_bytes);
-        let done = now + tx;
-        self.ports[port as usize].set_busy_until(done);
-        self.stats
-            .record_transmission(port as usize, wire_bytes, tx);
-        let event = match self.port_links[port as usize] {
-            HopLink::Uplink(node) => Event::NodeTxComplete {
-                node,
-                frame: queued.frame,
-            },
-            HopLink::Downlink(node) => Event::SwitchTxComplete {
-                to: node,
-                frame: queued.frame,
-            },
-            HopLink::Trunk { from, to } => Event::TrunkTxComplete {
-                from,
-                to,
-                frame: queued.frame,
-            },
+        self.engine.handle(&self.fabric, &mut direct, now, event);
+    }
+
+    /// Close the current instant: the arrivals it emitted go onto the
+    /// calendar in the engine's arrival order.
+    fn settle(&mut self) {
+        let mut direct = Direct {
+            arena: &mut self.arena,
+            deliveries: &mut self.pending_deliveries,
         };
-        self.schedule_event(done, event);
+        self.engine.end_instant(&self.fabric, &mut direct);
     }
 
-    fn deliver(&mut self, frame: FrameId, receiver: NodeId, now: SimTime) {
-        self.deliver_inner(frame, receiver, None, now);
-    }
-
-    /// Deliver a frame to a switch's control plane (`receiver` is
-    /// [`NodeId::SWITCH`]; the `switch` field says which one).
-    fn deliver_to_switch(&mut self, frame: FrameId, switch: SwitchId, now: SimTime) {
-        self.deliver_inner(frame, NodeId::SWITCH, Some(switch), now);
-    }
-
-    fn deliver_inner(
-        &mut self,
-        frame: FrameId,
-        receiver: NodeId,
-        switch: Option<SwitchId>,
-        now: SimTime,
-    ) {
-        let record = &self.frames[frame.0 as usize];
-        match record.class {
-            TrafficClass::RealTime => {
-                self.stats.record_rt_delivery(
-                    record.channel,
-                    record.injected_at,
-                    now,
-                    record.deadline,
-                );
-            }
-            TrafficClass::BestEffort => self.stats.record_be_delivery(),
-        }
-        // Materialise the public `Delivery` frame: the owned store clones
-        // its decoded frame; the arena store decodes the pooled unpadded
-        // wire image (struct-exact, so deliveries are byte-for-byte
-        // identical across stores) and returns the buffer to the pool.
-        let eth = match &record.stored {
-            StoredFrame::Owned(eth) => eth.clone(),
-            StoredFrame::Pooled(r) => {
-                let r = *r;
-                let eth = EthernetFrame::decode_unpadded(self.arena.bytes(r))
-                    .expect("pooled frames hold a valid unpadded wire image");
-                self.arena.free(r);
-                eth
-            }
-        };
-        self.pending_deliveries.push(Delivery {
-            frame,
-            receiver,
-            switch,
-            source: record.source,
-            eth,
-            injected_at: record.injected_at,
-            delivered_at: now,
-            channel: record.channel,
-            deadline: record.deadline,
-            class: record.class,
-        });
-    }
-
-    /// A frame leaves the fabric without being delivered (unroutable, BE
-    /// overflow, released channel, dead link): return its pooled buffer to
-    /// the arena.  Every drop site must call this exactly once — the
-    /// arena-leak invariant (`arena_outstanding() == 0` once the fabric
-    /// drains) is what the property suite checks.
-    fn discard_frame(&mut self, frame: FrameId) {
-        if let StoredFrame::Pooled(r) = self.frames[frame.0 as usize].stored {
-            self.arena.free(r);
-        }
-    }
-
-    /// Which frame store the simulator runs on.
-    pub fn frame_store_kind(&self) -> FrameStoreKind {
-        self.config.frame_store
-    }
-
-    /// Pooled frame buffers currently in flight (always 0 in `Owned` mode,
-    /// and 0 once every injected frame has been delivered or dropped).
+    /// Pooled frame buffers currently in flight (0 once every injected
+    /// frame has been delivered or dropped).
     pub fn arena_outstanding(&self) -> usize {
         self.arena.outstanding()
     }
@@ -1641,7 +1090,7 @@ impl Simulator {
 
     /// Total transmission (busy) time recorded on an access link so far.
     pub fn link_busy_time(&self, link: LinkId) -> Duration {
-        self.stats
+        self.stats()
             .link(link)
             .map(|l| l.busy_time)
             .unwrap_or(Duration::ZERO)
@@ -1649,7 +1098,7 @@ impl Simulator {
 
     /// Total transmission (busy) time recorded on any fabric link so far.
     pub fn hop_busy_time(&self, link: HopLink) -> Duration {
-        self.stats
+        self.stats()
             .hop_link(link)
             .map(|l| l.busy_time)
             .unwrap_or(Duration::ZERO)
@@ -1658,7 +1107,7 @@ impl Simulator {
     /// Convenience: the transmission time of a frame of `wire_bytes` bytes at
     /// the configured link speed.
     pub fn transmission_time(&self, wire_bytes: usize) -> Duration {
-        self.tx_time(wire_bytes)
+        self.fabric.tx_time(wire_bytes)
     }
 }
 
@@ -1710,6 +1159,23 @@ mod tests {
             payload: vec![0u8; payload_len],
         }
         .into_ethernet()
+        .unwrap()
+    }
+
+    /// A CONNECT request from `from` to the switch control plane.
+    fn connect_frame(from: NodeId, to: NodeId) -> EthernetFrame {
+        rt_frames::RequestFrame {
+            src_mac: MacAddr::for_node(from),
+            dst_mac: MacAddr::for_node(to),
+            src_ip: Ipv4Address::for_node(from),
+            dst_ip: Ipv4Address::for_node(to),
+            period: rt_types::Slots::new(100),
+            capacity: rt_types::Slots::new(3),
+            deadline: rt_types::Slots::new(40),
+            rt_channel_id: None,
+            connection_request_id: rt_types::ConnectionRequestId::new(1),
+        }
+        .into_ethernet(MacAddr::for_node(from), MacAddr::for_switch())
         .unwrap()
     }
 
@@ -2461,69 +1927,49 @@ mod tests {
     }
 
     #[test]
-    fn frame_store_choice_flows_from_the_config() {
-        let owned = Simulator::new(
-            SimConfig {
-                frame_store: FrameStoreKind::Owned,
-                ..SimConfig::default()
-            },
-            nodes(2),
-        );
-        assert_eq!(owned.frame_store_kind(), FrameStoreKind::Owned);
-        let sim = Simulator::new(SimConfig::default(), nodes(2));
-        assert_eq!(sim.frame_store_kind(), FrameStoreKind::Arena);
-        assert_eq!(FrameStoreKind::Owned.name(), "owned");
-        assert_eq!(FrameStoreKind::Arena.name(), "arena");
-    }
-
-    #[test]
-    fn owned_and_arena_stores_deliver_byte_identical_frames() {
-        // The acceptance bar for the zero-copy path: deliveries (including
-        // re-encoded wire bytes) must be byte-for-byte identical across
-        // stores, on a mixed RT + BE + control workload with drops.
-        let drive = |frame_store: FrameStoreKind| {
-            let config = SimConfig {
-                frame_store,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::new(config, nodes(4));
-            for k in 0..60u64 {
-                let src = NodeId::new((k % 4) as u32);
-                let dst = NodeId::new(((k + 1) % 4) as u32);
-                sim.inject(
-                    src,
-                    rt_frame(src, dst, (k % 5) as u16 + 1, SimTime::from_millis(20), 700),
-                    SimTime::from_micros(k * 7),
-                )
-                .unwrap();
-                sim.inject(
-                    src,
-                    be_frame(src, dst, 60 + (k as usize % 1200)),
-                    SimTime::from_micros(k * 7),
-                )
-                .unwrap();
-            }
-            // An unroutable frame exercises the drop path.
-            sim.inject(
-                NodeId::new(0),
-                be_frame(NodeId::new(0), NodeId::new(77), 300),
-                SimTime::from_micros(1),
-            )
-            .unwrap();
-            sim.run_to_idle();
-            let deliveries: Vec<_> = sim
-                .poll_deliveries()
-                .iter()
-                .map(|d| (d.frame, d.receiver, d.delivered_at, d.eth.encode()))
-                .collect();
-            (deliveries, sim.stats().summary(), sim.arena_outstanding())
+    fn deliveries_encode_byte_identically_to_the_injected_frames() {
+        // The acceptance bar for the zero-copy path: every delivered frame
+        // re-encodes to exactly the bytes injected under its id, on a mixed
+        // RT + BE + control workload with a drop, and every pooled buffer
+        // comes home.
+        let mut sim = Simulator::new(SimConfig::default(), nodes(4));
+        let mut injected = HashMap::new();
+        let mut inject = |sim: &mut Simulator, src: NodeId, eth: EthernetFrame, at: SimTime| {
+            let bytes = eth.encode();
+            injected.insert(sim.inject(src, eth, at).unwrap(), bytes);
         };
-        let (owned, owned_stats, owned_outstanding) = drive(FrameStoreKind::Owned);
-        let (arena, arena_stats, arena_outstanding) = drive(FrameStoreKind::Arena);
-        assert_eq!(owned, arena);
-        assert_eq!(owned_stats, arena_stats);
-        assert_eq!(owned_outstanding, 0, "owned mode never touches the arena");
-        assert_eq!(arena_outstanding, 0, "every pooled buffer must come home");
+        for k in 0..60u64 {
+            let src = NodeId::new((k % 4) as u32);
+            let dst = NodeId::new(((k + 1) % 4) as u32);
+            let at = SimTime::from_micros(k * 7);
+            let rt = rt_frame(src, dst, (k % 5) as u16 + 1, SimTime::from_millis(20), 700);
+            inject(&mut sim, src, rt, at);
+            inject(
+                &mut sim,
+                src,
+                be_frame(src, dst, 60 + (k as usize % 1200)),
+                at,
+            );
+            if k % 10 == 0 {
+                inject(&mut sim, src, connect_frame(src, dst), at);
+            }
+        }
+        // An unroutable frame exercises the drop path.
+        let ghost = be_frame(NodeId::new(0), NodeId::new(77), 300);
+        inject(&mut sim, NodeId::new(0), ghost, SimTime::from_micros(1));
+        sim.run_to_idle();
+        let deliveries = sim.poll_deliveries();
+        assert_eq!(deliveries.len(), 126, "{}", sim.stats().summary());
+        assert_eq!(sim.stats().control_frames, 6);
+        assert_eq!(sim.stats().unroutable_dropped, 1);
+        for d in &deliveries {
+            assert_eq!(d.eth.encode(), injected[&d.frame], "frame {:?}", d.frame);
+        }
+        assert_eq!(
+            sim.arena_outstanding(),
+            0,
+            "every pooled buffer must come home"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use switched_rt_ethernet::core::{MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::netsim::{
-    FaultScript, FrameStoreKind, SchedulerKind, ShardedSimulator, SimConfig, Simulator,
+    FaultScript, SchedulerKind, ShardedSimulator, SimConfig, Simulator,
 };
 use switched_rt_ethernet::traffic::{FabricScenario, ScenarioFrameSource};
 use switched_rt_ethernet::types::{Duration, HopLink, SimTime, SwitchId};
@@ -48,7 +48,6 @@ fn sharded_smoke(shards: usize) {
 
     let oracle_config = SimConfig {
         scheduler: SchedulerKind::Heap,
-        frame_store: FrameStoreKind::Arena,
         ..SimConfig::default()
     };
     let mut oracle = Simulator::with_topology(oracle_config, fabric.topology())
@@ -69,7 +68,6 @@ fn sharded_smoke(shards: usize) {
 
     let sharded_config = SimConfig {
         scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
         ..SimConfig::default()
     };
     let mut sharded = ShardedSimulator::new(sharded_config, fabric.topology(), shards)

@@ -20,8 +20,9 @@
 //! 4. **Arena hygiene** — with the pooled frame store, every buffer taken
 //!    from the [`rt_frames::FrameArena`] is returned once the fabric
 //!    drains: `arena_outstanding() == 0` after every scenario, faulted or
-//!    not. Delivery frees; every drop path must free too. The pooled and
-//!    owned stores must also be observationally identical.
+//!    not. Delivery frees; every drop path must free too. Every delivered
+//!    frame must also re-encode byte for byte to the frame injected under
+//!    its id.
 //! 5. **Churn determinism** — the long-running admission churn process
 //!    replays a byte-identical admission trace from the same seed, and the
 //!    central and distributed control planes produce that same trace,
@@ -35,8 +36,8 @@ mod common;
 use common::ControlHarness;
 use switched_rt_ethernet::core::{ChannelManager, MultiHopDps, RtChannelSpec, RtNetwork};
 use switched_rt_ethernet::netsim::{
-    Delivery, FaultScript, FrameInjection, FrameStoreKind, SchedulerKind, ShardedSimulator,
-    SimConfig, Simulator,
+    Delivery, FaultScript, FrameId, FrameInjection, SchedulerKind, ShardedSimulator, SimConfig,
+    Simulator,
 };
 use switched_rt_ethernet::types::{
     ChannelId, ConnectionRequestId, Duration, KShortestRouter, MacAddr, ManagerPlacement,
@@ -211,26 +212,45 @@ fn snapshot(deliveries: &[Delivery]) -> Snapshot {
         .collect()
 }
 
-/// Run one seed's workload (and optional fault script) on one scheduler and
-/// frame store; assert conservation and arena hygiene; return the
-/// observable outcome.
-fn drive(
+/// Assert that every delivery re-encodes byte for byte to the frame injected
+/// under its id — the pooled store hands back exactly what went in.
+fn assert_deliveries_match_injections(
     seed: u64,
-    scheduler: SchedulerKind,
-    frame_store: FrameStoreKind,
-    with_faults: bool,
-) -> (Snapshot, String, u64) {
+    ids: &[FrameId],
+    workload: &[FrameInjection],
+    deliveries: &[Delivery],
+) {
+    for d in deliveries {
+        let injected = ids
+            .iter()
+            .position(|&id| id == d.frame)
+            .map(|i| &workload[i].eth)
+            .expect("deliveries carry injected frame ids");
+        assert_eq!(
+            d.eth.encode(),
+            injected.encode(),
+            "seed {seed}: frame {:?} delivered different bytes than were injected",
+            d.frame
+        );
+    }
+}
+
+/// Run one seed's workload (and optional fault script) on one scheduler;
+/// assert conservation, arena hygiene and byte-exact deliveries; return the
+/// observable outcome.
+fn drive(seed: u64, scheduler: SchedulerKind, with_faults: bool) -> (Snapshot, String, u64) {
     let mut rng = Xoshiro256::new(seed);
     let topology = random_topology(&mut rng);
     let workload = random_workload(&mut rng, &topology);
     let faults = random_faults(&mut rng, &topology);
     let config = SimConfig {
         scheduler,
-        frame_store,
         ..SimConfig::default()
     };
     let mut sim = Simulator::with_topology(config, topology).expect("generated fabric is valid");
-    sim.inject_batch(workload).expect("workload is valid");
+    let ids = sim
+        .inject_batch(workload.clone())
+        .expect("workload is valid");
     if with_faults {
         sim.schedule_faults(&faults).expect("faults are in-window");
     }
@@ -258,11 +278,9 @@ fn drive(
         stats.summary(),
     );
     let processed = sim.events_processed();
-    (
-        snapshot(&sim.poll_deliveries()),
-        sim.stats().summary(),
-        processed,
-    )
+    let deliveries = sim.poll_deliveries();
+    assert_deliveries_match_injections(seed, &ids, &workload, &deliveries);
+    (snapshot(&deliveries), sim.stats().summary(), processed)
 }
 
 /// [`drive`] on the sharded simulator: identical generation, identical
@@ -279,12 +297,13 @@ fn drive_sharded(
     let faults = random_faults(&mut rng, &topology);
     let config = SimConfig {
         scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
         ..SimConfig::default()
     };
     let mut sim = ShardedSimulator::with_strategy(config, topology, shards, strategy)
         .expect("generated fabric is valid");
-    sim.inject_batch(workload).expect("workload is valid");
+    let ids = sim
+        .inject_batch(workload.clone())
+        .expect("workload is valid");
     if with_faults {
         sim.schedule_faults(&faults).expect("faults are in-window");
     }
@@ -307,46 +326,36 @@ fn drive_sharded(
         stats.summary(),
     );
     let processed = sim.events_processed();
-    (
-        snapshot(&sim.poll_deliveries()),
-        sim.stats().summary(),
-        processed,
-    )
+    let deliveries = sim.poll_deliveries();
+    assert_deliveries_match_injections(seed, &ids, &workload, &deliveries);
+    (snapshot(&deliveries), sim.stats().summary(), processed)
 }
 
 // --- the properties -------------------------------------------------------
 
-/// Invariants 1 + 2 + 4 on fault-free fabrics: conservation and arena
-/// hygiene on every seed, heap/calendar byte-for-byte equivalence, and
-/// pooled/owned frame-store equivalence.
+/// Invariants 1 + 2 + 4 on fault-free fabrics: conservation, arena
+/// hygiene and byte-exact deliveries on every seed, and heap/calendar
+/// byte-for-byte equivalence.
 #[test]
 fn random_fabrics_conserve_frames_and_are_scheduler_invariant() {
     for seed in 0..SEEDS {
-        let heap = drive(seed, SchedulerKind::Heap, FrameStoreKind::Arena, false);
-        let calendar = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Arena, false);
+        let heap = drive(seed, SchedulerKind::Heap, false);
+        let calendar = drive(seed, SchedulerKind::Calendar, false);
         assert_eq!(heap, calendar, "seed {seed}: schedulers diverge");
-        let owned = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Owned, false);
-        assert_eq!(calendar, owned, "seed {seed}: frame stores diverge");
     }
 }
 
 /// Invariants 1 + 2 + 4 *under fault injection*: a scripted trunk cut (and
 /// sometimes a repair) mid-workload must neither lose track of a frame (or
-/// a pooled buffer) nor introduce any scheduler- or store-dependent
-/// behaviour.
+/// a pooled buffer) nor introduce any scheduler-dependent behaviour.
 #[test]
 fn random_fabrics_with_faults_conserve_frames_and_are_scheduler_invariant() {
     for seed in 0..SEEDS {
-        let heap = drive(seed, SchedulerKind::Heap, FrameStoreKind::Arena, true);
-        let calendar = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Arena, true);
+        let heap = drive(seed, SchedulerKind::Heap, true);
+        let calendar = drive(seed, SchedulerKind::Calendar, true);
         assert_eq!(
             heap, calendar,
             "seed {seed}: schedulers diverge under faults"
-        );
-        let owned = drive(seed, SchedulerKind::Calendar, FrameStoreKind::Owned, true);
-        assert_eq!(
-            calendar, owned,
-            "seed {seed}: frame stores diverge under faults"
         );
     }
 }
@@ -362,12 +371,7 @@ fn random_fabrics_with_faults_conserve_frames_and_are_scheduler_invariant() {
 fn sharded_runs_are_byte_identical_to_the_single_thread_oracle() {
     for with_faults in [false, true] {
         for seed in 0..adversarial_seeds() {
-            let oracle = drive(
-                seed,
-                SchedulerKind::Heap,
-                FrameStoreKind::Arena,
-                with_faults,
-            );
+            let oracle = drive(seed, SchedulerKind::Heap, with_faults);
             for shards in [1usize, 2, 4] {
                 for strategy in [ShardStrategy::BfsRegions, ShardStrategy::Striped] {
                     let sharded = drive_sharded(seed, shards, strategy, with_faults);

@@ -9,7 +9,11 @@
 //! * two frames crossing the **same inter-shard trunk at the same
 //!   timestamp** keep injection `seq` order (the staged-arrival sort key
 //!   must reproduce the single-thread tie-break exactly),
-//! * a `FailTrunk` on an **inter-shard** trunk drains the in-flight frames
+//! * two equal-size frames whose transmissions **started at the same
+//!   instant** on different uplinks, in the opposite order of their frame
+//!   ids, reach the next switch in arrival-key order on the single-thread
+//!   simulator and on every shard count,
+//! * a trunk cut on an **inter-shard** trunk drains the in-flight frames
 //!   into `failed_link_dropped` — identically to the single-thread oracle,
 //!   and without leaking a pooled buffer,
 //! * a shard whose calendar goes **empty** still honours the global
@@ -27,8 +31,7 @@ use switched_rt_ethernet::frames::{
     EthernetFrame, RequestFrame, ReservationFrame, ReservationOp, ReservationReason, RtDataFrame,
 };
 use switched_rt_ethernet::netsim::{
-    Delivery, FaultScript, FrameInjection, FrameStoreKind, SchedulerKind, ShardedSimulator,
-    SimConfig, Simulator,
+    Delivery, FaultScript, FrameInjection, SchedulerKind, ShardedSimulator, SimConfig, Simulator,
 };
 use switched_rt_ethernet::types::{
     constants::ETHERTYPE_IPV4, ChannelId, ConnectionRequestId, Duration, Ipv4Address, MacAddr,
@@ -150,7 +153,6 @@ fn oracle(
 ) -> (Snapshot, String, u64) {
     let config = SimConfig {
         scheduler: SchedulerKind::Heap,
-        frame_store: FrameStoreKind::Arena,
         ..SimConfig::default()
     };
     let mut sim = Simulator::with_topology(config, topology.clone()).expect("fabric is valid");
@@ -178,7 +180,6 @@ fn sharded(
 ) -> ((Snapshot, String, u64), u64, ShardedSimulator) {
     let config = SimConfig {
         scheduler: SchedulerKind::Calendar,
-        frame_store: FrameStoreKind::Arena,
         ..SimConfig::default()
     };
     let mut sim = ShardedSimulator::with_strategy(config, topology.clone(), shards, strategy)
@@ -483,6 +484,54 @@ fn merged_stats_reproduce_the_oracle_on_a_mixed_multiswitch_scenario() {
             );
             assert_eq!(sim.stats().control_frames, 2);
             assert_eq!(sim.stats().link_state_frames, 2);
+        }
+    }
+}
+
+/// Two equal-size frames whose transmissions start at the same instant on
+/// two uplinks of one switch, started in the opposite order of their frame
+/// ids, reach the switch at the same instant: the tie on `(arrival,
+/// tx_start)` is broken by the engine's arrival key (frame id), not by the
+/// order the transmissions happened to start in — on the single-thread
+/// simulator and on every shard count alike.
+#[test]
+fn same_instant_arrivals_follow_the_arrival_key_at_every_shard_count() {
+    let topology = Topology::line(2, 2);
+    let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+    let at = SimTime::from_micros(10);
+    let inject = |node, eth| FrameInjection { node, eth, at };
+    // Frames 0 and 1 hold both uplinks first.  When they complete together,
+    // node 0's uplink (whose transmission started first) starts frame 3
+    // before node 1's starts frame 2, so frames 3 and 2 reach switch 0 at
+    // the same instant and queue FIFO for the one trunk towards node 2.
+    let workload = vec![
+        inject(n0, be_frame(n0, n1, 400)),
+        inject(n1, be_frame(n1, n0, 400)),
+        inject(n1, be_frame(n1, n2, 400)),
+        inject(n0, be_frame(n0, n2, 400)),
+    ];
+    let faults = FaultScript::new();
+    let expected = oracle(&topology, &workload, &faults);
+    let to_n2: Vec<u64> = expected
+        .0
+        .iter()
+        .filter(|d| d.1 == n2)
+        .map(|d| d.0)
+        .collect();
+    assert_eq!(
+        to_n2,
+        vec![2, 3],
+        "the lower frame id crosses the trunk first"
+    );
+    for shards in [1usize, 2, 4] {
+        for strategy in [ShardStrategy::BfsRegions, ShardStrategy::Striped] {
+            let (got, _, _) = sharded(&topology, &workload, &faults, shards, strategy);
+            assert_eq!(
+                expected,
+                got,
+                "sharded x{shards} ({}) orders the same-instant arrivals differently",
+                strategy.name(),
+            );
         }
     }
 }
